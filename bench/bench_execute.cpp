@@ -1,6 +1,6 @@
 /// E4 — §III.C, Ex. 5: executing QIR programs. Interpreted QIR dispatching
 /// into the simulator-backed runtime vs direct circuit simulation vs the
-/// bytecode VM (compile once via the content-addressed cache, execute
+/// bytecode VM (compile once via the compile cache, execute
 /// many). Expectation: the runtime route pays an interpretation overhead
 /// per gate that shrinks (relatively) as qubit count grows and kernels
 /// dominate; the VM removes most of the per-shot dispatch overhead, so

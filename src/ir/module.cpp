@@ -3,6 +3,7 @@
 #include "support/source_location.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace qirkit::ir {
@@ -79,6 +80,14 @@ std::size_t Function::instructionCount() const noexcept {
   }
   return count;
 }
+
+namespace {
+std::atomic<std::uint64_t> g_nextModuleId{1};
+} // namespace
+
+Module::Module(Context& context, std::string name)
+    : context_(&context), name_(std::move(name)),
+      id_(g_nextModuleId.fetch_add(1, std::memory_order_relaxed)) {}
 
 Function* Module::createFunction(std::string name, const Type* functionType) {
   if (getFunction(name) != nullptr) {

@@ -5,6 +5,7 @@
 #include "ir/context.hpp"
 #include "ir/instruction.hpp"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -133,11 +134,16 @@ private:
 /// A translation unit: globals plus functions, owned, with name lookup.
 class Module {
 public:
-  explicit Module(Context& context, std::string name = "module")
-      : context_(&context), name_(std::move(name)) {}
+  explicit Module(Context& context, std::string name = "module");
+  Module(const Module&) = delete;
+  Module& operator=(const Module&) = delete;
 
   [[nodiscard]] Context& context() const noexcept { return *context_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// Process-unique serial taken at construction and never reused, so a
+  /// module allocated where a freed one lived still has its own identity.
+  /// The compile cache keys on it.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   // -- Functions --------------------------------------------------------
   /// Create a function (declaration until blocks are added). Fails if the
@@ -172,6 +178,7 @@ public:
 private:
   Context* context_;
   std::string name_;
+  std::uint64_t id_;
   // Note: globals_ is declared before functions_ so that it is destroyed
   // *after* them — instructions hold use-list edges into globals, which
   // must stay alive while the instructions detach.

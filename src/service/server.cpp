@@ -2,13 +2,11 @@
 
 #include "ir/context.hpp"
 #include "ir/module.hpp"
-#include "ir/parser.hpp"
-#include "qasm/parser.hpp"
-#include "qasm/qasm3.hpp"
-#include "qir/exporter.hpp"
+#include "qasm/frontend.hpp"
 #include "service/prometheus.hpp"
 #include "sim/statevector.hpp"
 #include "support/cancel.hpp"
+#include "support/string_utils.hpp"
 #include "support/telemetry/request_trace.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "support/telemetry/trace.hpp"
@@ -93,15 +91,6 @@ std::atomic<std::uint64_t> g_drainCancelledExact{0};
 std::atomic<std::uint64_t> g_memoryRejectedExact{0};
 std::atomic<std::uint64_t> g_watchdogFlaggedExact{0};
 
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -153,16 +142,6 @@ std::string percentilesJson(const telemetry::LatencyHistogram& h) {
   return out.str();
 }
 
-bool looksLikeQasmText(std::string_view text) {
-  return text.find("OPENQASM") != std::string_view::npos;
-}
-
-bool isQasm3Text(std::string_view text) {
-  const auto pos = text.find("OPENQASM");
-  return pos != std::string_view::npos &&
-         text.substr(pos).rfind("OPENQASM 3", 0) == 0;
-}
-
 /// Write the whole buffer; MSG_NOSIGNAL so a vanished client costs an
 /// error return, not a SIGPIPE. Returns false when the peer is gone.
 bool writeAll(int fd, std::string_view data) {
@@ -186,7 +165,10 @@ Server::Server(ServerOptions options)
       pool_(options_.poolThreads),
       flight_(options_.flightCapacity,
               options_.slowThresholdMs * 1'000'000ULL) {
-  cache_.setCapacity(options_.cacheCapacity);
+  // The compile cache is keyed by module identity, and a module the
+  // registry evicts is never looked up again: one entry per resident
+  // program (per compile-option set) is all that can ever hit.
+  cache_.setCapacity(options_.programCapacity);
 }
 
 Server::~Server() {
@@ -875,21 +857,8 @@ std::string Server::prometheusMetricsJson() {
 
 std::shared_ptr<Server::ProgramEntry>
 Server::resolveProgram(const SubmitRequest& request) {
-  if (!request.programRef.empty()) {
-    const std::lock_guard lock(programsMutex_);
-    const auto it = programs_.find(request.programRef);
-    if (it == programs_.end()) {
-      throw qirkit::Error(ErrorCode::Usage,
-                          "unknown program_ref '" + request.programRef +
-                              "' (evicted or never submitted); resubmit the "
-                              "program text");
-    }
-    it->second->lastUse = ++programTick_;
-    g_programHits.add();
-    return it->second;
-  }
-
-  const std::string id = hex16(fnv1a(request.program));
+  const bool byRef = !request.programRef.empty();
+  const std::string id = byRef ? request.programRef : hex16(fnv1a(request.program));
   {
     const std::lock_guard lock(programsMutex_);
     const auto it = programs_.find(id);
@@ -899,26 +868,21 @@ Server::resolveProgram(const SubmitRequest& request) {
       return it->second;
     }
   }
+  if (byRef) {
+    throw qirkit::Error(ErrorCode::Usage,
+                        "unknown program_ref '" + id +
+                            "' (evicted or never submitted); resubmit the "
+                            "program text");
+  }
 
   // Parse outside the lock: a slow parse must not stall other tenants'
-  // lookups. A racing duplicate parse of the same text is harmless — the
-  // loser's entry simply wins the second insert below.
+  // lookups. A racing parse of the same text loses the insert below and
+  // takes the first entry instead, so all of them run one module.
   auto entry = std::make_shared<ProgramEntry>();
   entry->id = id;
   entry->context = std::make_unique<ir::Context>();
-  const std::string& text = request.program;
-  if (looksLikeQasmText(text)) {
-    if (isQasm3Text(text)) {
-      entry->module = qasm::compileQasm3(*entry->context, text);
-    } else {
-      const circuit::Circuit c = qasm::parse(text);
-      qir::ExportOptions options;
-      options.addressing = qir::Addressing::Static;
-      entry->module = qir::exportCircuit(*entry->context, c, options);
-    }
-  } else {
-    entry->module = ir::parseModule(*entry->context, text);
-  }
+  entry->module = qasm::loadModule(*entry->context, request.program, {},
+                                   qir::Addressing::Static);
   entry->qubits = estimatedQubits(*entry->module);
   g_programMisses.add();
 

@@ -52,9 +52,8 @@ struct ServerOptions {
   std::size_t runners = 2;
   /// Shot worker pool shared by every batch; 0 sizes to the hardware.
   std::size_t poolThreads = 0;
-  /// Resident bound of the shared compile cache.
-  std::size_t cacheCapacity = vm::CompileCache::kDefaultCapacity;
-  /// Resident bound of the parsed-program registry.
+  /// Resident bound of the parsed-program registry, and of the shared
+  /// compile cache, whose entries are keyed by the registry's modules.
   std::size_t programCapacity = 64;
   /// Longest accepted request frame in bytes.
   std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
@@ -125,7 +124,7 @@ private:
   struct ProgramEntry {
     std::string id; // 16-hex FNV-1a of the program text
     std::unique_ptr<ir::Context> context;
-    std::unique_ptr<ir::Module> module;
+    std::unique_ptr<const ir::Module> module;
     /// Declared register width (entry point's required_num_qubits
     /// attribute; 0 = unknown) — the input of the admission guard's
     /// footprint prediction.
@@ -178,7 +177,9 @@ private:
   /// the predicted footprint does not fit the budget.
   void registerActive(const std::shared_ptr<ActiveJob>& active);
   void unregisterActive(const std::shared_ptr<ActiveJob>& active);
-  /// Parse-or-lookup in the program registry (single-flight per id).
+  /// Parse-or-lookup in the program registry. Not single-flight: requests
+  /// racing on the same new text each parse it, and every one but the
+  /// first to insert drops its parse and takes the registered entry.
   std::shared_ptr<ProgramEntry> resolveProgram(const SubmitRequest& request);
 
   ServerOptions options_;

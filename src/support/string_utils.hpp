@@ -40,4 +40,8 @@ namespace qirkit {
 /// non-printable bytes, '"' and '\\').
 [[nodiscard]] std::string quoteString(std::string_view s);
 
+/// FNV-1a 64 of \p text: the content hash behind serve's program ids and
+/// the admission queue's per-tenant seed streams.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text) noexcept;
+
 } // namespace qirkit

@@ -195,7 +195,6 @@ struct BytecodeModule {
   std::vector<std::string> externNames;  // slot -> declared callee name
   std::vector<std::string> globalInits;  // initializer bytes, in module order
   int entryIndex = -1;                   // "entry_point" attr, else @main
-  std::uint64_t sourceHash = 0;          // FNV-1a of the printed module
   /// The dispatch loop this module was compiled for (CompileOptions).
   DispatchMode dispatch = DispatchMode::Switch;
 

@@ -1,6 +1,5 @@
 #include "vm/cache.hpp"
 
-#include "ir/printer.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "vm/compiler.hpp"
@@ -16,68 +15,34 @@ telemetry::Counter g_cacheMisses{"vm.cache.misses"};
 telemetry::Counter g_cacheEvictions{"vm.cache.evictions"};
 telemetry::Counter g_cacheCoalesced{"vm.cache.coalesced"};
 
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 } // namespace
 
 std::shared_ptr<const BytecodeModule>
 CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& options) {
   fault::probe(fault::Site::CompileCache);
-  std::string text = ir::printModule(module);
-  if (!options.fuseGates) {
-    // Fold the option into the content key so fused and unfused compiles
-    // of the same program never alias.
-    text += "\n; compile-option: fusion=off";
-  }
-  // Same for the dispatch mode and the superinstruction peephole: both
-  // change the module (recorded mode, code shape), so a flipped
-  // --dispatch can never reuse a stale compiled function.
-  if (options.dispatch != defaultDispatchMode()) {
-    text += std::string("\n; compile-option: dispatch=") +
-            dispatchModeName(options.dispatch);
-  }
-  if (options.superinstructions) {
-    text += "\n; compile-option: superinstr=on";
-  }
-  const std::uint64_t hash = fnv1a(text);
+  const Key key{module.id(), options.fuseGates, options.dispatch,
+                options.superinstructions};
 
   std::promise<std::shared_ptr<const BytecodeModule>> promise;
   CompiledFuture joined;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(hash);
+    const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      for (Entry& entry : it->second) {
-        if (entry.text == text) {
-          ++stats_.hits;
-          g_cacheHits.add();
-          entry.lastUse = ++tick_;
-          return entry.compiled;
-        }
-      }
+      ++stats_.hits;
+      g_cacheHits.add();
+      it->second.lastUse = ++tick_;
+      return it->second.compiled;
     }
     // Single-flight: join a compile already in progress for this key
     // rather than duplicating it.
-    const auto inflightIt = inflight_.find(hash);
-    if (inflightIt != inflight_.end()) {
-      for (const InFlight& flight : inflightIt->second) {
-        if (flight.text == text) {
-          ++stats_.coalesced;
-          g_cacheCoalesced.add();
-          joined = flight.future;
-          break;
-        }
-      }
-    }
-    if (!joined.valid()) {
-      inflight_[hash].push_back(InFlight{text, promise.get_future().share()});
+    const auto flight = inflight_.find(key);
+    if (flight != inflight_.end()) {
+      ++stats_.coalesced;
+      g_cacheCoalesced.add();
+      joined = flight->second;
+    } else {
+      inflight_.emplace(key, promise.get_future().share());
     }
   }
   if (joined.valid()) {
@@ -94,11 +59,7 @@ CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& optio
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      auto& flights = inflight_[hash];
-      std::erase_if(flights, [&](const InFlight& f) { return f.text == text; });
-      if (flights.empty()) {
-        inflight_.erase(hash);
-      }
+      inflight_.erase(key);
     }
     // Wake the joiners with the same failure; nothing is cached, so the
     // next request retries the compile.
@@ -108,43 +69,27 @@ CompileCache::getOrCompile(const ir::Module& module, const CompileOptions& optio
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& flights = inflight_[hash];
-    std::erase_if(flights, [&](const InFlight& f) { return f.text == text; });
-    if (flights.empty()) {
-      inflight_.erase(hash);
-    }
+    inflight_.erase(key);
     ++stats_.misses;
     g_cacheMisses.add();
-    while (sizeLocked() >= capacity_) {
+    while (entries_.size() >= capacity_) {
       evictLRULocked();
     }
-    entries_[hash].push_back(Entry{text, compiled, ++tick_});
+    entries_.emplace(key, Entry{compiled, ++tick_});
   }
   promise.set_value(compiled);
   return compiled;
 }
 
 void CompileCache::evictLRULocked() {
-  auto victimMap = entries_.end();
-  std::size_t victimIndex = 0;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      if (it->second[i].lastUse < oldest) {
-        oldest = it->second[i].lastUse;
-        victimMap = it;
-        victimIndex = i;
-      }
-    }
-  }
-  if (victimMap == entries_.end()) {
+  const auto victim = std::min_element(
+      entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+        return a.second.lastUse < b.second.lastUse;
+      });
+  if (victim == entries_.end()) {
     return;
   }
-  victimMap->second.erase(victimMap->second.begin() +
-                          static_cast<std::ptrdiff_t>(victimIndex));
-  if (victimMap->second.empty()) {
-    entries_.erase(victimMap);
-  }
+  entries_.erase(victim);
   ++stats_.evictions;
   g_cacheEvictions.add();
 }
@@ -154,17 +99,9 @@ CompileCache::Stats CompileCache::stats() const {
   return stats_;
 }
 
-std::size_t CompileCache::sizeLocked() const {
-  std::size_t n = 0;
-  for (const auto& [hash, chain] : entries_) {
-    n += chain.size();
-  }
-  return n;
-}
-
 std::size_t CompileCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return sizeLocked();
+  return entries_.size();
 }
 
 std::size_t CompileCache::capacity() const {
@@ -175,7 +112,7 @@ std::size_t CompileCache::capacity() const {
 void CompileCache::setCapacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity == 0 ? 1 : capacity;
-  while (sizeLocked() > capacity_) {
+  while (entries_.size() > capacity_) {
     evictLRULocked();
   }
 }

@@ -1,17 +1,21 @@
 /// \file cache.hpp
-/// Content-addressed cache of compiled bytecode. The key is the printed
-/// textual form of the module (hashed with FNV-1a 64; the stored text is
-/// compared on hash hits so collisions cannot alias programs). One
-/// process-wide instance makes repeated runs of the same program — across
-/// shots, worker threads, and CLI subcommands — compile exactly once; the
-/// service gives each daemon its own instance shared by every tenant
-/// (ShotOptions::cache injects it into the executor).
+/// Identity-keyed cache of compiled bytecode. The key is the module's
+/// process-unique serial (ir::Module::id) plus the compile options, so a
+/// lookup costs a map probe, never a walk of the program. Content
+/// addressing happens once, where text enters: serve's program registry
+/// maps raw text and `@id` to one parsed module, so every resubmission
+/// reaches the same module object and therefore the same entry; the CLI
+/// parses one module per process. A module must not be mutated after it
+/// has been looked up here — the entry would go stale. One process-wide
+/// instance serves the CLI and the shot executor; the service gives each
+/// daemon its own instance shared by every tenant (ShotOptions::cache
+/// injects it into the executor).
 ///
 /// Concurrency: lookups and insertions are mutex-guarded; compilation runs
 /// outside the lock with *single-flight* deduplication — the first thread
 /// to miss on a key registers an in-flight compile, and every concurrent
 /// requester of the same key blocks on its future instead of compiling the
-/// module again. N tenants submitting the same program therefore cost one
+/// module again. N tenants running the same program therefore cost one
 /// compile, not N (Stats::coalesced counts the joiners). A failed compile
 /// propagates its exception to every joiner and leaves no entry behind, so
 /// a later request retries from scratch.
@@ -28,11 +32,12 @@
 #include "vm/bytecode.hpp"
 #include "vm/compiler.hpp"
 
+#include <compare>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 namespace qirkit::vm {
 
@@ -50,12 +55,11 @@ public:
   /// Default resident-entry bound of the process-wide cache.
   static constexpr std::size_t kDefaultCapacity = 128;
 
-  /// Look up \p module by content; compile and insert on miss. Thread-safe;
-  /// concurrent misses on the same key compile once (see file comment).
-  /// The returned module is immutable and outlives the cache entry.
-  /// Non-default \p options become part of the cache key (as an appended
-  /// pseudo-comment), so the same program compiled with and without fusion
-  /// occupies distinct entries instead of aliasing.
+  /// Look up \p module by identity; compile and insert on miss.
+  /// Thread-safe; concurrent misses on the same key compile once (see file
+  /// comment). The returned module is immutable and outlives the cache
+  /// entry. \p options are part of the key, so the same module compiled
+  /// with and without fusion occupies distinct entries.
   std::shared_ptr<const BytecodeModule>
   getOrCompile(const ir::Module& module, const CompileOptions& options = {});
 
@@ -74,25 +78,26 @@ private:
   using CompiledFuture =
       std::shared_future<std::shared_ptr<const BytecodeModule>>;
 
+  struct Key {
+    std::uint64_t moduleId;
+    bool fuseGates;
+    DispatchMode dispatch;
+    bool superinstructions;
+    auto operator<=>(const Key&) const = default;
+  };
+
   struct Entry {
-    std::string text; // full printed module, for collision safety
     std::shared_ptr<const BytecodeModule> compiled;
     std::uint64_t lastUse = 0; // tick of the most recent hit/insert
   };
 
-  /// One compile in progress: joiners block on the future while the owner
-  /// compiles outside the lock.
-  struct InFlight {
-    std::string text;
-    CompiledFuture future;
-  };
-
   void evictLRULocked();
-  [[nodiscard]] std::size_t sizeLocked() const;
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
-  std::unordered_map<std::uint64_t, std::vector<InFlight>> inflight_;
+  std::map<Key, Entry> entries_;
+  /// Compiles in progress: joiners block on the future while the owner
+  /// compiles outside the lock.
+  std::map<Key, CompiledFuture> inflight_;
   Stats stats_;
   std::size_t capacity_ = kDefaultCapacity;
   std::uint64_t tick_ = 0;

@@ -4,7 +4,7 @@
 /// the paper's execution route serves (one program, many sampled shots).
 ///
 /// Two engines sit behind one interface: the bytecode VM (compile once
-/// via the content-addressed cache, execute many; one Vm + one
+/// via the compile cache, execute many; one Vm + one
 /// QuantumRuntime per worker, reset between shots) and the tree-walking
 /// interpreter (a fresh Interpreter + runtime per shot — the reference
 /// semantics). Shot s always runs with seed `seed + s`, independent of

@@ -1,5 +1,6 @@
 #include "circuit/executor.hpp"
 #include "circuit/generators.hpp"
+#include "qasm/frontend.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/printer.hpp"
 #include "support/source_location.hpp"
@@ -222,6 +223,25 @@ TEST(QasmEndToEnd, ParsedBellMeasuresCorrelated) {
   for (const auto& [bits, count] : circuit::sampleCounts(c, 100, 5)) {
     EXPECT_TRUE(bits == "00" || bits == "11") << bits;
   }
+}
+
+TEST(QasmFrontend, DetectLanguageReadsTheExtensionThenTheFirstToken) {
+  // The extension decides when it names a language.
+  EXPECT_EQ(detectLanguage("OPENQASM 2.0;", "prog.ll"), Language::Qir);
+  EXPECT_EQ(detectLanguage("qreg q[1];", "prog.qasm"), Language::Qasm2);
+  EXPECT_EQ(detectLanguage("OPENQASM 3;", "prog.qasm"), Language::Qasm3);
+  // Otherwise only a first token of OPENQASM means OpenQASM, whatever the
+  // comments before it say.
+  EXPECT_EQ(detectLanguage("; source: OPENQASM 2.0\ndeclare void @f()\n"),
+            Language::Qir);
+  EXPECT_EQ(detectLanguage("define void @main() {\n  ret void\n}\n; OPENQASM"),
+            Language::Qir);
+  EXPECT_EQ(detectLanguage("  // header\n/* OPENQASM 3 */ OPENQASM 2.0;"),
+            Language::Qasm2);
+  EXPECT_EQ(detectLanguage("\n; c\n/* multi\nline */\nOPENQASM 3.0;\n"),
+            Language::Qasm3);
+  EXPECT_EQ(detectLanguage("/* unterminated OPENQASM 2.0;"), Language::Qir);
+  EXPECT_EQ(detectLanguage(""), Language::Qir);
 }
 
 } // namespace

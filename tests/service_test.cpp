@@ -5,6 +5,10 @@
 /// cross-request compile-cache hits in the metrics document, structured
 /// error responses for malformed and oversized frames that leave the
 /// connection usable, and the resource-limit taxonomy for quota rejects.
+#include "ir/context.hpp"
+#include "ir/printer.hpp"
+#include "qasm/parser.hpp"
+#include "qir/exporter.hpp"
 #include "service/client.hpp"
 #include "service/flight_recorder.hpp"
 #include "service/json.hpp"
@@ -1080,6 +1084,34 @@ TEST_F(ServeTest, BrokenProgramsReturnClassifiedErrors) {
   // The daemon survives a parse failure and still executes real work.
   const json::Value good = json::parse(client.call(submitLine("alice", 10, 1)));
   EXPECT_TRUE(good.find("ok")->boolean);
+}
+
+TEST_F(ServeTest, CommentHeadedQirIsNotMistakenForQasm) {
+  // QIR that mentions OPENQASM in a leading comment, as translated output
+  // often does, is still QIR: only a first token of OPENQASM means QASM.
+  ir::Context ctx;
+  const std::string qir = ir::printModule(
+      *qir::exportCircuit(ctx, qasm::parse(kBellQasm), {}));
+  Client client(socketPath_);
+  const auto histogramOf = [&](const std::string& program) {
+    SubmitRequest req;
+    req.tenant = "alice";
+    req.program = program;
+    req.shots = 50;
+    req.seed = 3;
+    const json::Value v = json::parse(client.call(submitRequestJson(req)));
+    EXPECT_TRUE(v.find("ok")->boolean) << program;
+    std::string bits;
+    if (const json::Value* h = v.find("histogram")) {
+      for (const auto& [key, count] : h->object) {
+        bits += key + "=" + std::to_string(static_cast<std::uint64_t>(count.number)) + ";";
+      }
+    }
+    return bits;
+  };
+  const std::string plain = histogramOf(qir);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(histogramOf("; source: OPENQASM 2.0 bell.qasm\n" + qir), plain);
 }
 
 } // namespace

@@ -378,21 +378,41 @@ TEST(VmCompileCache, SecondLookupHitsAndSharesTheModule) {
   vm::CompileCache cache;
   const std::string program = ProgramGenerator(3).generate();
   ir::Context ctxA;
-  const auto first = cache.getOrCompile(*ir::parseModule(ctxA, program));
-  // A different Context parsing the same text is the cross-invocation
-  // case: content addressing must hit.
-  ir::Context ctxB;
-  const auto second = cache.getOrCompile(*ir::parseModule(ctxB, program));
+  const auto module = ir::parseModule(ctxA, program);
+  const auto first = cache.getOrCompile(*module);
+  const auto second = cache.getOrCompile(*module);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.stats().hits, 1U);
   EXPECT_EQ(cache.stats().misses, 1U);
   EXPECT_EQ(cache.size(), 1U);
 
-  const std::string other = ProgramGenerator(4).generate();
-  ir::Context ctxC;
-  const auto third = cache.getOrCompile(*ir::parseModule(ctxC, other));
-  EXPECT_NE(first.get(), third.get());
+  // The key is the module's identity, not its text: a separate parse of
+  // the same program is its own entry. Sharing one compile across
+  // resubmissions of the same text is serve's program registry's job.
+  ir::Context ctxB;
+  const auto reparsed = cache.getOrCompile(*ir::parseModule(ctxB, program));
+  EXPECT_NE(first.get(), reparsed.get());
   EXPECT_EQ(cache.stats().misses, 2U);
+  EXPECT_EQ(cache.size(), 2U);
+}
+
+TEST(VmCompileCache, FreedModuleNeverAliasesItsSuccessor) {
+  vm::CompileCache cache;
+  const std::string before = ProgramGenerator(4).generate();
+  const std::string after = ProgramGenerator(5).generate();
+  ASSERT_NE(before, after);
+  ir::Context ctx;
+  auto module = ir::parseModule(ctx, before);
+  const auto stale = cache.getOrCompile(*module);
+  module.reset();
+  // The allocator may hand the freed slot straight to the next module.
+  module = ir::parseModule(ctx, after);
+  const auto fresh = cache.getOrCompile(*module);
+  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.stats().misses, 2U);
+  EXPECT_NE(fresh.get(), stale.get());
+  EXPECT_EQ(fresh->disassemble(), vm::compileModule(*module)->disassemble());
+  EXPECT_NE(fresh->disassemble(), stale->disassemble());
 }
 
 // ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "qasm/frontend.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/printer.hpp"
-#include "qasm/qasm3.hpp"
 #include "qir/compile.hpp"
 #include "qir/exporter.hpp"
 #include "qir/importer.hpp"
@@ -229,31 +229,6 @@ circuit::Target parseTarget(const std::string& spec) {
   fail("unknown target kind '" + kind + "'");
 }
 
-bool looksLikeQasm(const std::string& path, const std::string& text) {
-  return path.ends_with(".qasm") || text.find("OPENQASM") != std::string::npos;
-}
-
-bool isQasm3(const std::string& text) {
-  const auto pos = text.find("OPENQASM");
-  return pos != std::string::npos && text.find("OPENQASM 3", pos) == pos;
-}
-
-/// Load a program from QIR (.ll), OpenQASM 2, or OpenQASM 3 into a module.
-std::unique_ptr<ir::Module> loadModule(ir::Context& ctx, const std::string& path,
-                                       qir::Addressing addressing) {
-  const std::string text = readFile(path);
-  if (looksLikeQasm(path, text)) {
-    if (isQasm3(text)) {
-      return qasm::compileQasm3(ctx, text);
-    }
-    const circuit::Circuit c = qasm::parse(text);
-    qir::ExportOptions options;
-    options.addressing = addressing;
-    return qir::exportCircuit(ctx, c, options);
-  }
-  return ir::parseModule(ctx, text, path);
-}
-
 int cmdParse(const Args& args) {
   ir::Context ctx;
   const auto module = ir::parseModule(ctx, readFile(args.positional[0]));
@@ -316,7 +291,8 @@ int cmdOpt(const Args& args) {
 
 int cmdCompile(const Args& args) {
   ir::Context ctx;
-  auto module = loadModule(ctx, args.positional[0], qir::Addressing::Dynamic);
+  auto module = qasm::loadModule(ctx, readFile(args.positional[0]),
+                                 args.positional[0], qir::Addressing::Dynamic);
   qir::CompileOptions options;
   if (!args.option("target").empty()) {
     options.target = parseTarget(args.option("target"));
@@ -348,7 +324,8 @@ int cmdCompile(const Args& args) {
 
 int cmdRun(const Args& args) {
   ir::Context ctx;
-  const auto module = loadModule(ctx, args.positional[0], qir::Addressing::Static);
+  const auto module = qasm::loadModule(ctx, readFile(args.positional[0]),
+                                       args.positional[0], qir::Addressing::Static);
   vm::ShotOptions options;
   options.shots = parseUint(args.option("shots", "100"), "shots");
   options.seed = parseUint(args.option("seed", "1"), "seed");
@@ -480,12 +457,11 @@ int cmdTranslate(const Args& args) {
   }
   // Load into the circuit IR through whichever frontend matches.
   circuit::Circuit c;
-  if (looksLikeQasm(inputPath, text) && !isQasm3(text)) {
+  if (qasm::detectLanguage(text, inputPath) == qasm::Language::Qasm2) {
     c = qasm::parse(text);
   } else {
     ir::Context ctx;
-    auto module = isQasm3(text) ? qasm::compileQasm3(ctx, text)
-                                : ir::parseModule(ctx, text);
+    auto module = qasm::loadModule(ctx, text, inputPath, qir::Addressing::Static);
     qir::transformDirect(*module);
     c = qir::importFromModule(*module);
   }
@@ -559,10 +535,6 @@ int cmdServe(const Args& args) {
       1, parseUint(args.option("runners", "2"), "runners"));
   options.poolThreads =
       static_cast<std::size_t>(parseUint(args.option("jobs", "0"), "jobs"));
-  if (!args.option("cache-capacity").empty()) {
-    options.cacheCapacity = std::max<std::size_t>(
-        1, parseUint(args.option("cache-capacity"), "cache-capacity"));
-  }
   if (!args.option("program-capacity").empty()) {
     options.programCapacity = std::max<std::size_t>(
         1, parseUint(args.option("program-capacity"), "program-capacity"));
@@ -876,9 +848,9 @@ void usage() {
          "compile options: --target line:N|ring:N|grid:RxC|full:N\n"
          "             --addressing static|dynamic --reuse --defer-mz\n"
          "serve: qirkit serve <socket> [--runners N] [--jobs N]\n"
-         "             [--cache-capacity N] [--program-capacity N]\n"
-         "             [--queue-capacity N] [--tenant-pending N]\n"
-         "             [--max-shots N] [--max-frame-bytes N]\n"
+         "             [--program-capacity N] [--queue-capacity N]\n"
+         "             [--tenant-pending N] [--max-shots N]\n"
+         "             [--max-frame-bytes N]\n"
          "             [--rate-limit R/s] [--rate-burst B]\n"
          "             [--memory-budget-mb N] [--watchdog-factor N]\n"
          "             [--flight-capacity N] [--slow-threshold-ms N]\n"
@@ -941,7 +913,7 @@ int main(int argc, char** argv) {
          "retries",
          "to", "budget",
          "model", "output", "socket", "tenant", "priority", "runners",
-         "cache-capacity", "program-capacity", "queue-capacity",
+         "program-capacity", "queue-capacity",
          "tenant-pending", "max-shots", "max-frame-bytes", "timeout-ms",
          "deadline-ms", "request-id", "connect-retries", "rate-limit",
          "rate-burst", "memory-budget-mb", "watchdog-factor", "format",

@@ -117,6 +117,31 @@ grep -q "exec mode: sample" "$WORK/err" && fail "auto sampled a feedback program
 # run an OpenQASM 3 program directly
 "$QIRKIT" run "$WORK/rus.qasm3" --shots 20 | grep -qE "^(000|111): " || fail "qasm3 run"
 
+# language detection: a .ll file is QIR and a .qasm file is OpenQASM;
+# otherwise the first token after whitespace and comments decides. QIR
+# whose leading comment names OPENQASM is still QIR.
+{ echo "; source: OPENQASM 2.0 bell.qasm"; cat "$WORK/bell.ll"; } > "$WORK/headed.ll"
+cp "$WORK/headed.ll" "$WORK/headed.txt"
+"$QIRKIT" run "$WORK/bell.ll" --shots 40 --seed 7 >"$WORK/plain.out" 2>/dev/null \
+  || fail "run plain qir"
+for f in headed.ll headed.txt; do
+  "$QIRKIT" run "$WORK/$f" --shots 40 --seed 7 >"$WORK/headed.out" 2>"$WORK/err" \
+    || fail "comment-headed $f misrouted: $(cat "$WORK/err")"
+  cmp -s "$WORK/plain.out" "$WORK/headed.out" || fail "comment-headed $f histogram differs"
+done
+"$QIRKIT" translate "$WORK/headed.ll" --to qasm | grep -q "cx q\[0\], q\[1\];" \
+  || fail "translate comment-headed qir"
+{ echo "// Bell pair"; cat "$WORK/bell.qasm"; } > "$WORK/commented.qasm"
+"$QIRKIT" run "$WORK/bell.qasm" --shots 40 --seed 7 >"$WORK/plain.out" 2>/dev/null \
+  || fail "run bell.qasm"
+"$QIRKIT" run "$WORK/commented.qasm" --shots 40 --seed 7 >"$WORK/commented.out" \
+  2>/dev/null || fail "//-commented .qasm not routed to qasm"
+cmp -s "$WORK/plain.out" "$WORK/commented.out" || fail "//-commented .qasm histogram differs"
+{ echo "/* repeat until success"; echo "   */ // OpenQASM 3"; cat "$WORK/rus.qasm3"; } \
+  > "$WORK/commented.qasm3"
+"$QIRKIT" run "$WORK/commented.qasm3" --shots 20 | grep -qE "^(000|111): " \
+  || fail "commented OpenQASM 3 not routed to qasm3"
+
 # compile with mapping + reuse + deferral
 "$QIRKIT" compile "$WORK/bell.ll" --target line:4 --defer-mz -o "$WORK/compiled.ll" \
   || fail "compile"

@@ -146,6 +146,16 @@ REF="$("$QIRKIT" submit "$WORK/bell.qasm" --socket "$SOCK" --tenant alice \
   2>/dev/null > "$WORK/bell.ref" || fail "submit by ref"
 cmp -s "$WORK/bell.ref" "$WORK/bell.expected" || fail "ref histogram differs"
 
+# -- QIR whose leading comment names OPENQASM is still QIR -----------------
+"$QIRKIT" translate "$WORK/bell.qasm" --to qir -o "$WORK/bell.ll" \
+  || fail "translate bell to qir"
+{ echo "; source: OPENQASM 2.0 bell.qasm"; cat "$WORK/bell.ll"; } > "$WORK/headed.ll"
+for f in bell.ll headed.ll; do
+  "$QIRKIT" submit "$WORK/$f" --socket "$SOCK" --tenant alice --shots 60 \
+    --seed 7 2>"$WORK/err" > "$WORK/$f.out" || fail "submit $f: $(cat "$WORK/err")"
+  cmp -s "$WORK/$f.out" "$WORK/bell.expected" || fail "served $f histogram differs"
+done
+
 # -- exit-code contract over the wire --------------------------------------
 echo "garbage" > "$WORK/broken.ll"
 set +e
