@@ -253,7 +253,8 @@ BENCHMARK(BM_KernelSweep)
     ->ArgsProduct({{0, 1}, {18, 22}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_SampleShots(benchmark::State& state) {
+/// One sample() call: the O(2^n) linear scan for a single basis state.
+void BM_SampleOne(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
   sim::StateVector sv(n);
   applyLayer(sv);
@@ -263,7 +264,40 @@ void BM_SampleShots(benchmark::State& state) {
   }
   state.counters["qubits"] = n;
 }
-BENCHMARK(BM_SampleShots)->Arg(10)->Arg(16)->Arg(20)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SampleOne)->Arg(10)->Arg(16)->Arg(20)->Unit(benchmark::kMicrosecond);
+
+/// The batched sampler behind the sampled exec mode: sampleShots draws
+/// 1024 shots in two streaming passes over the state. Args are (qubits,
+/// state): state 0 = spread (one brick layer, every amplitude nonzero,
+/// draws land in every block), 1 = GHZ (all mass in the first and last
+/// amplitude). amps_per_sec is 2^n per call per wall second.
+void BM_SampleShots(benchmark::State& state) {
+  const auto n = static_cast<unsigned>(state.range(0));
+  const bool ghz = state.range(1) == 1;
+  sim::StateVector sv(n);
+  if (ghz) {
+    sv.apply1(sim::gateH(), 0);
+    for (unsigned q = 1; q < n; ++q) {
+      sv.applyControlled1(sim::gateX(), 0, q);
+    }
+  } else {
+    applyLayer(sv);
+  }
+  constexpr std::uint64_t kShots = 1024;
+  SplitMix64 rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sv.sampleShots(kShots, rng));
+  }
+  state.SetLabel(ghz ? "ghz" : "spread");
+  state.counters["qubits"] = n;
+  state.counters["shots"] = kShots;
+  state.counters["amps_per_sec"] =
+      benchmark::Counter(static_cast<double>(sv.dimension()),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SampleShots)
+    ->ArgsProduct({{16, 18}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

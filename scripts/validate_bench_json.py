@@ -17,9 +17,10 @@ SCHEMA_VERSION = 1
 # artifact carries the tail, not just the mean.
 PERCENTILE_KEYS = ("p50_ns", "p95_ns", "p99_ns")
 
-# Kernel-throughput benchmarks must report the amplitudes-touched-per-
-# second rate (and the qubit count it was measured at), so CI diffs carry
-# the bandwidth figure the cache blocking exists to raise.
+# Kernel-throughput and batched-sampler benchmarks must report the
+# amplitudes-touched-per-second rate (and the qubit count it was measured
+# at), so CI diffs carry the bandwidth figure the cache blocking and the
+# streaming sampler exist to raise.
 KERNEL_KEYS = ("qubits", "amps_per_sec")
 
 # Dispatch benchmarks must report bytecode instructions retired per
@@ -77,13 +78,14 @@ def validate(path):
                     or counters["p95_ns"] > counters["p99_ns"]:
                 fail(path, f"{where}.counters percentiles must be "
                            f"non-decreasing (p50 <= p95 <= p99)")
-        if b["name"].startswith("BM_Kernel/"):
+        if b["name"].startswith(("BM_Kernel/", "BM_SampleShots/")):
             counters = b["counters"]
             for key in KERNEL_KEYS:
                 if not isinstance(counters.get(key), (int, float)) \
                         or counters[key] <= 0:
                     fail(path, f"{where}.counters.{key} must be a "
-                               f"positive number for kernel benchmarks")
+                               f"positive number for kernel and sampler "
+                               f"benchmarks")
         if b["name"].startswith("BM_Dispatch/"):
             counters = b["counters"]
             for key in DISPATCH_KEYS:

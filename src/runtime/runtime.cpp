@@ -36,8 +36,7 @@ std::int64_t argInt(std::span<const RtValue> args, std::size_t i) {
 // ---------------------------------------------------------------------------
 
 void QuantumRuntime::reset(std::uint64_t seed) {
-  state_ = sim::StateVector(0, pool_, precision_);
-  state_.setCancelToken(cancel_); // token installation survives reset
+  state_.clear(); // keeps the amplitude buffer and the cancel token
   rng_ = SplitMix64(seed);
   stats_ = {};
   qubitByHandle_.clear();
@@ -146,17 +145,17 @@ void QuantumRuntime::applyFusedBlock(const interp::FusedBlock& block) {
 }
 
 void QuantumRuntime::applyFusedSweep(std::span<const interp::FusedBlock> blocks) {
-  // Pre-sized so the diagQubits spans handed to the simulator stay valid
-  // for the whole sweep. Qubits resolve per block in run order: first-seen
+  // Sized before the loop so the diagQubits spans handed to the simulator
+  // stay valid for the whole sweep; both buffers keep their capacity
+  // across calls. Qubits resolve per block in run order: first-seen
   // on-the-fly allocation then matches the per-block path exactly.
-  std::vector<std::array<unsigned, interp::FusedBlock::kMaxQubits>> qubitStore(
-      blocks.size());
-  std::vector<sim::SweepGate> gates;
-  gates.reserve(blocks.size());
+  sweepQubits_.resize(blocks.size());
+  std::vector<sim::SweepGate>& gates = sweepGates_;
+  gates.clear();
   std::uint64_t sourceGates = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const interp::FusedBlock& block = blocks[b];
-    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = qubitStore[b];
+    std::array<unsigned, interp::FusedBlock::kMaxQubits>& qubits = sweepQubits_[b];
     for (std::size_t i = 0; i < block.qubits.size(); ++i) {
       qubits[i] = resolveStaticQubit(block.qubits[i]);
     }

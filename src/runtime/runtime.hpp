@@ -23,6 +23,7 @@
 #include "sim/statevector.hpp"
 #include "support/rng.hpp"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -61,8 +62,7 @@ public:
 
   explicit QuantumRuntime(std::uint64_t seed = 1, qirkit::ThreadPool* pool = nullptr,
                           sim::Precision precision = sim::Precision::F64)
-      : state_(0, pool, precision), pool_(pool), precision_(precision),
-        rng_(seed) {}
+      : state_(0, pool, precision), rng_(seed) {}
 
   /// Register every qis/rt handler with \p interp (and this runtime as
   /// the engine's fused-gate host, when the engine supports one).
@@ -86,7 +86,9 @@ public:
   /// Return to the freshly-constructed state with a new RNG seed, keeping
   /// every registered binding valid (handlers capture `this`). The batched
   /// shot executor uses this to run N shots without re-binding the 30+
-  /// handlers per shot.
+  /// handlers per shot. The statevector keeps its buffer
+  /// (StateVector::clear), so regrowing the register qubit by qubit to
+  /// the previous shot's width allocates nothing.
   void reset(std::uint64_t seed);
 
   /// §IV.A's *other* strategy for static addresses: instead of allocating
@@ -107,7 +109,6 @@ public:
   /// (nullptr clears it). Survives reset(): the executor installs it once
   /// per batch, not once per shot.
   void setCancelToken(const qirkit::CancelToken* token) noexcept {
-    cancel_ = token;
     state_.setCancelToken(token);
   }
 
@@ -144,9 +145,6 @@ private:
   static std::uint64_t resultKey(std::uint64_t address) noexcept { return address; }
 
   sim::StateVector state_;
-  qirkit::ThreadPool* pool_;
-  sim::Precision precision_ = sim::Precision::F64;
-  const qirkit::CancelToken* cancel_ = nullptr;
   SplitMix64 rng_;
   RuntimeStats stats_;
   std::map<std::uint64_t, unsigned> qubitByHandle_; // handle or static id -> sim index
@@ -159,6 +157,9 @@ private:
   std::map<std::uint64_t, unsigned> resultQubit_;
   /// Defer mode: result_record_output calls as (label, result key).
   std::vector<std::pair<std::string, std::uint64_t>> deferredOutput_;
+  /// applyFusedSweep's per-call scratch, kept so a sweep allocates nothing.
+  std::vector<std::array<unsigned, interp::FusedBlock::kMaxQubits>> sweepQubits_;
+  std::vector<sim::SweepGate> sweepGates_;
 };
 
 /// A runtime that *records* the instruction trace as a circuit instead of

@@ -5,6 +5,7 @@
 #include "support/telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -33,6 +34,11 @@ constexpr unsigned kMaxQubits = StateVector::kMaxQubits;
 /// across the whole gate run, large enough that the per-chunk dispatch
 /// overhead vanishes.
 constexpr unsigned kSweepChunkBits = 12;
+
+/// Block length of the deterministic reductions (blockSum, the sampler's
+/// block sums): partial sums are taken per 4096 amplitudes, then combined
+/// in block order.
+constexpr std::uint64_t kSumBlock = std::uint64_t{1} << 12;
 
 #if defined(QIRKIT_SIMD)
 inline void noteKernelSweeps(Precision precision, std::uint64_t sweeps) noexcept {
@@ -75,11 +81,112 @@ inline std::complex<Real> cmul(const std::complex<Real>& a,
 // compiler can vectorize, one cache-line fetch per 4 f64 amplitudes —
 // instead of striding pair by pair. Correctness never depends on where
 // [begin, end) is cut: every compressed index is visited exactly once.
+//
+// When the lowest target bit lo is 0, 1 or 2 those runs are only 1-4
+// amplitudes long, so the low-qubit path walks them differently: W = 2^lo
+// consecutive compressed indices form a group whose lo=0 amplitudes are
+// adjacent (their lo=1 partners sit W above), and a run is every whole
+// group up to the next target bit. The inner loop then has the
+// compile-time trip count W and the outer one streams across groups.
+
+/// A removed-bit position above every state index: a single-target kernel
+/// passes it as its "next target bit", so its groups run unbounded.
+constexpr unsigned kNoBit = 62;
+
+/// Full index of compressed index \p i of a kernel whose target bits are
+/// lo < hi (removed, i.e. zero, in the result).
+inline std::uint64_t expand2(std::uint64_t i, unsigned lo, unsigned hi) noexcept {
+  return insertZeroBit(insertZeroBit(i, lo), hi);
+}
+
+/// The low-qubit run walker: calls \p elem(x) once for every compressed
+/// index in [begin, end), where x is the full index with both target bits
+/// (lo = log2(W) and \p hi) zero. Indices outside whole W-groups at the
+/// two ends go one at a time.
+template <unsigned W, typename Elem>
+inline void walkLowRuns(std::uint64_t begin, std::uint64_t end, unsigned hi,
+                        Elem elem) noexcept {
+  constexpr unsigned lo = std::countr_zero(W);
+  for (; begin < end && begin % W != 0; ++begin) {
+    elem(expand2(begin, lo, hi));
+  }
+  for (; end > begin && end % W != 0;) {
+    --end;
+    elem(expand2(end, lo, hi));
+  }
+  const std::uint64_t groupsPerRun = std::uint64_t{1} << (hi - 1 - lo);
+  for (std::uint64_t g = begin / W; g < end / W;) {
+    const std::uint64_t run =
+        std::min(end / W - g, groupsPerRun - (g & (groupsPerRun - 1)));
+    const std::uint64_t base = insertZeroBit(g << (lo + 1), hi);
+    for (std::uint64_t r = 0; r < run; ++r) {
+      for (unsigned k = 0; k < W; ++k) {
+        elem(base + r * 2 * W + k);
+      }
+    }
+    g += run;
+  }
+}
+
+/// Instantiate \p walk for the compile-time group width 2^lo, lo < 3.
+template <typename Walk>
+inline void withLowWidth(unsigned lo, Walk walk) {
+  switch (lo) {
+  case 0:
+    walk(std::integral_constant<unsigned, 1>{});
+    break;
+  case 1:
+    walk(std::integral_constant<unsigned, 2>{});
+    break;
+  default:
+    walk(std::integral_constant<unsigned, 4>{});
+    break;
+  }
+}
+
+/// The in-group partner offset W as the low-qubit kernels use it: a
+/// constant for W = 1 and 2, which lets the compiler fuse each group's
+/// loads, but the runtime value \p w for W = 4, where GCC otherwise
+/// vectorizes across groups through permutes and runs up to 1.5x slower
+/// (apply1 and applyControlled1 at 14 and 18 qubits).
+template <unsigned W>
+inline std::uint64_t lowOffset(std::uint64_t w) noexcept {
+  if constexpr (W == 4) {
+    return w;
+  } else {
+    return W;
+  }
+}
+
+/// apply1Range for targets 1 and 2 (the low-qubit path).
+template <typename Real>
+void apply1LowRange(std::complex<Real>* const amps, const GateMatrix2& gate,
+                    unsigned target, std::uint64_t begin,
+                    std::uint64_t end) noexcept {
+  using C = std::complex<Real>;
+  const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
+          m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
+  const std::uint64_t runtimeBit = std::uint64_t{1} << target;
+  withLowWidth(target, [=](auto w) {
+    constexpr unsigned W = decltype(w)::value;
+    const std::uint64_t bit = lowOffset<W>(runtimeBit);
+    walkLowRuns<W>(begin, end, kNoBit, [=](std::uint64_t x) {
+      const C a0 = amps[x];
+      const C a1 = amps[x + bit];
+      amps[x] = cmul(m00, a0) + cmul(m01, a1);
+      amps[x + bit] = cmul(m10, a0) + cmul(m11, a1);
+    });
+  });
+}
 
 template <typename Real>
 void apply1Range(std::complex<Real>* const amps, const GateMatrix2& gate,
                  unsigned target, std::uint64_t begin,
                  std::uint64_t end) noexcept {
+  if (target == 1 || target == 2) {
+    apply1LowRange(amps, gate, target, begin, end);
+    return;
+  }
   using C = std::complex<Real>;
   const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
           m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
@@ -110,10 +217,55 @@ void apply1Range(std::complex<Real>* const amps, const GateMatrix2& gate,
   }
 }
 
+/// apply2Range when the lower target is qubit 0, 1 or 2 (the low-qubit
+/// path). The matrix is permuted so local bit 0 is the lower qubit, which
+/// puts the in-group partner at the compile-time offset W.
+template <typename Real>
+void apply2LowRange(std::complex<Real>* const amps, const GateMatrix4& gate,
+                    unsigned q0, unsigned q1, std::uint64_t begin,
+                    std::uint64_t end) noexcept {
+  using C = std::complex<Real>;
+  const bool swapped = q0 > q1;
+  const auto local = [swapped](int k) {
+    return swapped && (k == 1 || k == 2) ? 3 - k : k;
+  };
+  C m[4][4];
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      m[local(r)][local(c)] = toC<Real>(gate.m[r][c]);
+    }
+  }
+  const unsigned hi = std::max(q0, q1);
+  const std::uint64_t bhi = std::uint64_t{1} << hi;
+  withLowWidth(std::min(q0, q1), [=](auto w) {
+    constexpr unsigned W = decltype(w)::value;
+    walkLowRuns<W>(begin, end, hi, [=](std::uint64_t x) {
+      const C a00 = amps[x];
+      const C a01 = amps[x + W];
+      const C a10 = amps[x + bhi];
+      const C a11 = amps[x + W + bhi];
+      amps[x] = cmul(m[0][0], a00) + cmul(m[0][1], a01) + cmul(m[0][2], a10) +
+                cmul(m[0][3], a11);
+      amps[x + W] = cmul(m[1][0], a00) + cmul(m[1][1], a01) +
+                    cmul(m[1][2], a10) + cmul(m[1][3], a11);
+      amps[x + bhi] = cmul(m[2][0], a00) + cmul(m[2][1], a01) +
+                      cmul(m[2][2], a10) + cmul(m[2][3], a11);
+      amps[x + W + bhi] = cmul(m[3][0], a00) + cmul(m[3][1], a01) +
+                          cmul(m[3][2], a10) + cmul(m[3][3], a11);
+    });
+  });
+}
+
 template <typename Real>
 void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
                  unsigned q0, unsigned q1, std::uint64_t begin,
                  std::uint64_t end) noexcept {
+  const unsigned lo = q0 < q1 ? q0 : q1;
+  const unsigned hi = q0 < q1 ? q1 : q0;
+  if (lo < 3) {
+    apply2LowRange(amps, gate, q0, q1, begin, end);
+    return;
+  }
   using C = std::complex<Real>;
   C m[4][4];
   for (int r = 0; r < 4; ++r) {
@@ -123,14 +275,12 @@ void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
   }
   const std::uint64_t b0 = std::uint64_t{1} << q0;
   const std::uint64_t b1 = std::uint64_t{1} << q1;
-  const unsigned lo = q0 < q1 ? q0 : q1;
-  const unsigned hi = q0 < q1 ? q1 : q0;
   const std::uint64_t blo = std::uint64_t{1} << lo;
   std::uint64_t i = begin;
   while (i < end) {
     const std::uint64_t off = i & (blo - 1);
     const std::uint64_t run = std::min(end - i, blo - off);
-    const std::uint64_t i00 = insertZeroBit(insertZeroBit(i, lo), hi);
+    const std::uint64_t i00 = expand2(i, lo, hi);
     C* const p00 = amps + i00;
     C* const p01 = amps + (i00 | b0);
     C* const p10 = amps + (i00 | b1);
@@ -153,25 +303,68 @@ void apply2Range(std::complex<Real>* const amps, const GateMatrix4& gate,
   }
 }
 
+/// applyControlled1Range when the lower of control and target is qubit 0,
+/// 1 or 2 (the low-qubit path). Whichever of the two is lower sits at the
+/// compile-time offset W: the target's partner, or the control's set bit.
+template <typename Real>
+void applyControlled1LowRange(std::complex<Real>* const amps,
+                              const GateMatrix2& gate, unsigned control,
+                              unsigned target, std::uint64_t begin,
+                              std::uint64_t end) noexcept {
+  using C = std::complex<Real>;
+  const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
+          m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
+  const unsigned lo = std::min(control, target);
+  const unsigned hi = std::max(control, target);
+  const std::uint64_t blo = std::uint64_t{1} << lo;
+  const std::uint64_t bhi = std::uint64_t{1} << hi;
+  withLowWidth(lo, [=](auto w) {
+    constexpr unsigned W = decltype(w)::value;
+    const std::uint64_t low = lowOffset<W>(blo);
+    // Each pair starts at its control bit; the partner sits a target bit
+    // above.
+    if (target < control) {
+      C* const p = amps + bhi;
+      walkLowRuns<W>(begin, end, hi, [=](std::uint64_t x) {
+        const C a0 = p[x];
+        const C a1 = p[x + low];
+        p[x] = cmul(m00, a0) + cmul(m01, a1);
+        p[x + low] = cmul(m10, a0) + cmul(m11, a1);
+      });
+    } else {
+      C* const p = amps + low;
+      walkLowRuns<W>(begin, end, hi, [=](std::uint64_t x) {
+        const C a0 = p[x];
+        const C a1 = p[x + bhi];
+        p[x] = cmul(m00, a0) + cmul(m01, a1);
+        p[x + bhi] = cmul(m10, a0) + cmul(m11, a1);
+      });
+    }
+  });
+}
+
 template <typename Real>
 void applyControlled1Range(std::complex<Real>* const amps,
                            const GateMatrix2& gate, unsigned control,
                            unsigned target, std::uint64_t begin,
                            std::uint64_t end) noexcept {
+  const unsigned lo = control < target ? control : target;
+  const unsigned hi = control < target ? target : control;
+  if (lo < 3) {
+    applyControlled1LowRange(amps, gate, control, target, begin, end);
+    return;
+  }
   using C = std::complex<Real>;
   const C m00 = toC<Real>(gate.m00), m01 = toC<Real>(gate.m01),
           m10 = toC<Real>(gate.m10), m11 = toC<Real>(gate.m11);
   const std::uint64_t cbit = std::uint64_t{1} << control;
   const std::uint64_t tbit = std::uint64_t{1} << target;
-  const unsigned lo = control < target ? control : target;
-  const unsigned hi = control < target ? target : control;
   const std::uint64_t blo = std::uint64_t{1} << lo;
   std::uint64_t i = begin;
   while (i < end) {
     const std::uint64_t off = i & (blo - 1);
     const std::uint64_t run = std::min(end - i, blo - off);
-    const std::uint64_t i0 =
-        insertZeroBit(insertZeroBit(i, lo), hi) | cbit;
+    const std::uint64_t i0 = expand2(i, lo, hi) | cbit;
     C* const p0 = amps + i0;
     C* const p1 = p0 + tbit;
     for (std::uint64_t k = 0; k < run; ++k) {
@@ -197,7 +390,7 @@ void applySwapRange(std::complex<Real>* const amps, unsigned a, unsigned b,
   while (i < end) {
     const std::uint64_t off = i & (blo - 1);
     const std::uint64_t run = std::min(end - i, blo - off);
-    const std::uint64_t i10 = insertZeroBit(insertZeroBit(i, lo), hi) | abit;
+    const std::uint64_t i10 = expand2(i, lo, hi) | abit;
     C* const p = amps + i10;
     C* const q = amps + ((i10 ^ abit) | bbit);
     for (std::uint64_t k = 0; k < run; ++k) {
@@ -231,6 +424,66 @@ void applyCCXRange(std::complex<Real>* const amps, const unsigned (&pos)[3],
   }
 }
 
+/// The low-qubit diagonal path: some table bit lies below 3, so the
+/// constant-phase runs of applyDiagonalRange would be 1-4 amplitudes long.
+/// Instead a run is bounded by the lowest table bit at or above 3: within
+/// it the high table bits are constant, so the run's phases repeat with
+/// period 8: the high index is computed once per run, the run's 8-entry
+/// phase pattern is gathered from the table, and the stream of multiplies
+/// reads the pattern instead of the table.
+template <typename Real>
+void applyLowDiagonalRange(std::complex<Real>* const amps,
+                           const Complex* const table,
+                           const unsigned* const shifts, std::size_t numBits,
+                           std::uint64_t begin, std::uint64_t end) noexcept {
+  using C = std::complex<Real>;
+  std::size_t lowIndex[8] = {}; // table-index bits set by amplitude bits 0-2
+  unsigned runBits = kNoBit;
+  for (std::size_t j = 0; j < numBits; ++j) {
+    if (shifts[j] < 3) {
+      for (unsigned r = 0; r < 8; ++r) {
+        lowIndex[r] |= ((r >> shifts[j]) & 1U) << j;
+      }
+    } else {
+      runBits = std::min(runBits, shifts[j]);
+    }
+  }
+  const auto highIndex = [&](std::uint64_t i) {
+    std::size_t idx = 0;
+    for (std::size_t j = 0; j < numBits; ++j) {
+      if (shifts[j] >= 3) {
+        idx |= ((i >> shifts[j]) & 1) << j;
+      }
+    }
+    return idx;
+  };
+  const auto one = [&](std::uint64_t i) {
+    amps[i] = cmul(amps[i], toC<Real>(table[highIndex(i) | lowIndex[i & 7]]));
+  };
+  for (; begin < end && begin % 8 != 0; ++begin) {
+    one(begin);
+  }
+  for (; end > begin && end % 8 != 0;) {
+    one(--end);
+  }
+  const std::uint64_t runLen = std::uint64_t{1} << runBits;
+  for (std::uint64_t i = begin; i < end;) {
+    const std::uint64_t run = std::min(end - i, runLen - (i & (runLen - 1)));
+    const std::size_t high = highIndex(i);
+    C pattern[8];
+    for (unsigned r = 0; r < 8; ++r) {
+      pattern[r] = toC<Real>(table[high | lowIndex[r]]);
+    }
+    C* const p = amps + i;
+    for (std::uint64_t k = 0; k < run; k += 8) {
+      for (unsigned r = 0; r < 8; ++r) {
+        p[k + r] = cmul(p[k + r], pattern[r]);
+      }
+    }
+    i += run;
+  }
+}
+
 template <typename Real>
 void applyDiagonalRange(std::complex<Real>* const amps,
                         const Complex* const table,
@@ -243,6 +496,10 @@ void applyDiagonalRange(std::complex<Real>* const amps,
   unsigned qmin = shifts[0];
   for (std::size_t j = 1; j < numBits; ++j) {
     qmin = std::min(qmin, shifts[j]);
+  }
+  if (qmin < 3) {
+    applyLowDiagonalRange(amps, table, shifts, numBits, begin, end);
+    return;
   }
   const std::uint64_t runLen = std::uint64_t{1} << qmin;
   std::uint64_t i = begin;
@@ -260,6 +517,46 @@ void applyDiagonalRange(std::complex<Real>* const amps,
     i += run;
   }
 }
+
+/// |a|^2, accumulated in double for both storage widths. Where a fused
+/// multiply-add exists it is spelled out, so every call site rounds alike
+/// whatever the compiler contracts elsewhere; where none exists nothing
+/// can be contracted. The sampler's two passes rely on this to agree.
+template <typename Real>
+inline double probability(const std::complex<Real>& a) noexcept {
+  const double re = a.real();
+  const double im = a.imag();
+#if defined(FP_FAST_FMA) || defined(__FMA__)
+  return std::fma(re, re, im * im);
+#else
+  return re * re + im * im;
+#endif
+}
+
+/// The sampler's running sum over one block: amplitude i feeds lane i % 4
+/// (four independent add chains, so a group of four is one vector add),
+/// and the sum is (l0 + l1) + (l2 + l3). Lanes only grow, so sum() never
+/// decreases as amplitudes are added, and adding a group at once leaves
+/// exactly the lanes that adding its four amplitudes one by one does.
+struct BlockScan {
+  double lane[4] = {0, 0, 0, 0};
+
+  template <typename C>
+  void add(const C* const amps, std::uint64_t i) noexcept {
+    lane[i & 3] += probability(amps[i]);
+  }
+  /// Amplitudes i..i+3, i a multiple of 4.
+  template <typename C>
+  void addGroup(const C* const amps, std::uint64_t i) noexcept {
+    lane[0] += probability(amps[i]);
+    lane[1] += probability(amps[i + 1]);
+    lane[2] += probability(amps[i + 2]);
+    lane[3] += probability(amps[i + 3]);
+  }
+  [[nodiscard]] double sum() const noexcept {
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  }
+};
 
 /// The fused-sweep inner driver: chunk-major, gate-minor. Every gate's
 /// qubits lie below chunkBits, so each gate only mixes amplitudes within
@@ -353,6 +650,18 @@ void StateVector::resetAll() {
   }
 }
 
+void StateVector::clear() {
+  numQubits_ = 0;
+  gateCount_ = 0;
+  if (precision_ == Precision::F32) {
+    amplitudesF_.resize(1);
+    amplitudesF_[0] = 1.0F;
+  } else {
+    amplitudes_.resize(1);
+    amplitudes_[0] = 1.0;
+  }
+}
+
 unsigned StateVector::addQubit() {
   if (numQubits_ >= kMaxQubits) {
     throw qirkit::SemanticError("statevector limited to " +
@@ -382,15 +691,15 @@ void StateVector::removeQubit(unsigned q, SplitMix64& rng) {
   if (measure(q, rng)) {
     apply1(gateX(), q); // force |0>
   }
-  // Compact out bit q (all amplitudes with the bit set are now zero).
+  // Compact out bit q in place (all amplitudes with the bit set are now
+  // zero). Source index insertZeroBit(i, q) >= i and grows with i, so no
+  // source is overwritten before it is read.
   const std::uint64_t half = dimension() >> 1;
   const auto compact = [&](auto& storage) {
-    using C = typename std::decay_t<decltype(storage)>::value_type;
-    std::vector<C> next(half);
     for (std::uint64_t i = 0; i < half; ++i) {
-      next[i] = storage[insertZeroBit(i, q)];
+      storage[i] = storage[insertZeroBit(i, q)];
     }
-    storage = std::move(next);
+    storage.resize(half);
   };
   if (precision_ == Precision::F32) {
     compact(amplitudesF_);
@@ -400,27 +709,32 @@ void StateVector::removeQubit(unsigned q, SplitMix64& rng) {
   --numQubits_;
 }
 
-void StateVector::forRange(
-    std::uint64_t n,
+void StateVector::forRangeOnPool(
+    std::uint64_t n, std::uint64_t grain,
     const std::function<void(std::uint64_t, std::uint64_t)>& body) const {
-  // Cancellation checkpoint once per sweep, on the calling thread — pool
-  // tasks must not throw. Armed-and-expired tokens additionally make the
-  // parallel path skip remaining chunks (the state is abandoned anyway
-  // once the next checkpoint throws).
+  // Pool tasks must not throw: an expired token makes the remaining chunks
+  // bail out, and the caller throws at its next checkpoint (the state is
+  // abandoned anyway).
+  const qirkit::CancelToken* const cancel = cancel_;
+  qirkit::parallelForChunked(
+      *pool_, n,
+      [&body, cancel](std::uint64_t begin, std::uint64_t end) {
+        if (cancel != nullptr && cancel->expired()) {
+          return;
+        }
+        body(begin, end);
+      },
+      grain);
+}
+
+template <typename Body>
+void StateVector::forRange(std::uint64_t n, const Body& body) const {
+  // Cancellation checkpoint once per sweep, on the calling thread.
   if (cancel_ != nullptr) {
     cancel_->checkpoint("statevector kernel");
   }
   if (pool_ != nullptr && n >= (std::uint64_t{1} << 14)) {
-    const qirkit::CancelToken* const cancel = cancel_;
-    qirkit::parallelForChunked(
-        *pool_, n,
-        [&body, cancel](std::uint64_t begin, std::uint64_t end) {
-          if (cancel != nullptr && cancel->expired()) {
-            return; // chunk-boundary bail-out; caller throws on next probe
-          }
-          body(begin, end);
-        },
-        std::uint64_t{1} << 12);
+    forRangeOnPool(n, std::uint64_t{1} << 12, body);
   } else {
     body(0, n);
   }
@@ -606,16 +920,7 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
     };
     if (pool_ != nullptr && numChunks > 1 &&
         dimension() >= (std::uint64_t{1} << 14)) {
-      const qirkit::CancelToken* const cancel = cancel_;
-      qirkit::parallelForChunked(
-          *pool_, numChunks,
-          [&body, cancel](std::uint64_t begin, std::uint64_t end) {
-            if (cancel != nullptr && cancel->expired()) {
-              return;
-            }
-            body(begin, end);
-          },
-          1);
+      forRangeOnPool(numChunks, 1, body);
     } else {
       body(0, numChunks);
     }
@@ -627,28 +932,30 @@ void StateVector::applyFusedSweep(std::span<const SweepGate> gates) {
   }
 }
 
-double StateVector::blockSum(
-    std::uint64_t n,
-    const std::function<double(std::uint64_t, std::uint64_t)>& partial) const {
-  constexpr std::uint64_t kBlock = std::uint64_t{1} << 12;
-  if (n <= kBlock) {
-    return partial(0, n);
-  }
-  const std::uint64_t numBlocks = (n + kBlock - 1) / kBlock;
-  std::vector<double> partials(numBlocks);
-  const auto runBlocks = [&](std::uint64_t beginBlock, std::uint64_t endBlock) {
-    for (std::uint64_t b = beginBlock; b < endBlock; ++b) {
-      partials[b] = partial(b * kBlock, std::min(n, (b + 1) * kBlock));
-    }
+template <typename Partial>
+double StateVector::blockSum(std::uint64_t n, const Partial& partial) const {
+  const std::uint64_t numBlocks = (n + kSumBlock - 1) / kSumBlock;
+  const auto blockAt = [&](std::uint64_t b) {
+    return partial(b * kSumBlock, std::min(n, (b + 1) * kSumBlock));
   };
-  if (pool_ != nullptr && n >= (std::uint64_t{1} << 14)) {
-    qirkit::parallelForChunked(*pool_, numBlocks, runBlocks, 1);
-  } else {
-    runBlocks(0, numBlocks);
-  }
   double total = 0;
-  for (const double p : partials) {
-    total += p;
+  if (pool_ != nullptr && n >= (std::uint64_t{1} << 14)) {
+    std::vector<double> partials(numBlocks);
+    qirkit::parallelForChunked(
+        *pool_, numBlocks,
+        [&](std::uint64_t beginBlock, std::uint64_t endBlock) {
+          for (std::uint64_t b = beginBlock; b < endBlock; ++b) {
+            partials[b] = blockAt(b);
+          }
+        },
+        1);
+    for (const double p : partials) {
+      total += p;
+    }
+  } else {
+    for (std::uint64_t b = 0; b < numBlocks; ++b) {
+      total += blockAt(b);
+    }
   }
   return total;
 }
@@ -738,40 +1045,98 @@ std::map<std::uint64_t, std::uint64_t> StateVector::sampleShots(
   if (shots == 0) {
     return counts;
   }
-  // Cumulative probabilities, accumulated in double for both precisions.
-  // The sum is sequential so the distribution is bit-identical regardless
-  // of pool size; the per-shot searches below are the parallel part.
-  std::vector<double> cdf(dimension());
-  double total = 0;
-  const auto buildCdf = [&](const auto* const amps) {
-    for (std::uint64_t i = 0; i < dimension(); ++i) {
-      const double re = amps[i].real();
-      const double im = amps[i].imag();
-      total += re * re + im * im;
-      cdf[i] = total;
+  const auto run = [&](const auto* const amps) {
+    const std::uint64_t dim = dimension();
+    const std::uint64_t numBlocks = (dim + kSumBlock - 1) / kSumBlock;
+    // Pass 1: every block's probability sum (blocks are independent).
+    std::vector<double> blockSums(numBlocks);
+    const auto sumBlocks = [&](std::uint64_t beginBlock, std::uint64_t endBlock) {
+      for (std::uint64_t b = beginBlock; b < endBlock; ++b) {
+        BlockScan scan;
+        const std::uint64_t end = std::min(dim, (b + 1) * kSumBlock);
+        std::uint64_t i = b * kSumBlock;
+        for (; i + 4 <= end; i += 4) {
+          scan.addGroup(amps, i);
+        }
+        for (; i < end; ++i) {
+          scan.add(amps, i);
+        }
+        blockSums[b] = scan.sum();
+      }
+    };
+    if (pool_ != nullptr && dim >= (std::uint64_t{1} << 14)) {
+      qirkit::parallelForChunked(*pool_, numBlocks, sumBlocks, 1);
+    } else {
+      sumBlocks(0, numBlocks);
+    }
+    double total = 0;
+    for (const double s : blockSums) {
+      total += s;
+    }
+    // Uniforms from the caller's stream, scaled by the actual total to
+    // absorb rounding; sorted, so pass 2 meets them in CDF order.
+    std::vector<double> draws(shots);
+    for (double& d : draws) {
+      d = rng.uniform() * total;
+    }
+    std::sort(draws.begin(), draws.end());
+    // Pass 2: the running sum before block b is the sum of the earlier
+    // block sums; a block holding a draw is rescanned with the same scan
+    // as pass 1, whose running value at the block's last amplitude is
+    // therefore exactly the next block's start.
+    std::uint64_t d = 0;
+    const auto record = [&](std::uint64_t basis, std::uint64_t n) {
+      counts.emplace_hint(counts.end(), basis, n);
+      d += n;
+    };
+    double start = 0;
+    for (std::uint64_t b = 0; b < numBlocks && d < shots; ++b) {
+      const double next = start + blockSums[b];
+      if (draws[d] >= next) {
+        start = next;
+        continue;
+      }
+      BlockScan scan;
+      const std::uint64_t end = std::min(dim, (b + 1) * kSumBlock);
+      for (std::uint64_t i = b * kSumBlock; i < end && d < shots;) {
+        if (i + 4 <= end) {
+          BlockScan group = scan;
+          group.addGroup(amps, i);
+          if (draws[d] >= start + group.sum()) {
+            scan = group; // no draw lands in these four
+            i += 4;
+            continue;
+          }
+        }
+        for (const std::uint64_t stop = std::min(end, i + 4); i < stop; ++i) {
+          scan.add(amps, i);
+          const double cum = start + scan.sum();
+          std::uint64_t n = 0;
+          while (d + n < shots && draws[d + n] < cum) {
+            ++n;
+          }
+          if (n != 0) {
+            record(i, n);
+          }
+        }
+      }
+      start = next;
+    }
+    // Draws at the very top of the range (u * total rounding up to total)
+    // land on the last basis state, as an upper_bound past the end would.
+    if (d < shots) {
+      const std::uint64_t rest = shots - d;
+      if (!counts.empty() && counts.rbegin()->first == dim - 1) {
+        counts.rbegin()->second += rest;
+      } else {
+        record(dim - 1, rest);
+      }
     }
   };
   if (precision_ == Precision::F32) {
-    buildCdf(amplitudesF_.data());
+    run(amplitudesF_.data());
   } else {
-    buildCdf(amplitudes_.data());
-  }
-  // Pre-draw every uniform from the caller's stream (scaled by the actual
-  // total to absorb rounding), then binary-search each shot independently.
-  std::vector<double> draws(shots);
-  for (std::uint64_t s = 0; s < shots; ++s) {
-    draws[s] = rng.uniform() * total;
-  }
-  std::vector<std::uint64_t> basis(shots);
-  forRange(shots, [&](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t s = begin; s < end; ++s) {
-      const auto it = std::upper_bound(cdf.begin(), cdf.end(), draws[s]);
-      basis[s] = it == cdf.end() ? dimension() - 1
-                                 : static_cast<std::uint64_t>(it - cdf.begin());
-    }
-  });
-  for (std::uint64_t s = 0; s < shots; ++s) {
-    ++counts[basis[s]];
+    run(amplitudes_.data());
   }
   return counts;
 }

@@ -14,10 +14,13 @@
 /// Kernel layout (DESIGN 7g): every gate kernel decomposes its pair-index
 /// range into contiguous runs bounded by the lowest target-bit boundary,
 /// so the inner loops stream over adjacent amplitudes (vectorizable, one
-/// cache-line fetch per four f64 amplitudes) instead of striding. Runs of
-/// fused blocks can additionally be applied chunk-at-a-time via
-/// applyFusedSweep, which walks each cache-sized chunk once for the whole
-/// run instead of once per block.
+/// cache-line fetch per four f64 amplitudes) instead of striding. When the
+/// lowest target is qubit 0, 1 or 2 those runs would be 1-4 amplitudes
+/// long, so the kernels instead walk runs bounded by the next target bit
+/// with a compile-time inner stride of 2^lo. Runs of fused blocks can
+/// additionally be applied chunk-at-a-time via applyFusedSweep, which
+/// walks each cache-sized chunk once for the whole run instead of once
+/// per block.
 #pragma once
 
 #include "sim/gates.hpp"
@@ -26,6 +29,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string_view>
@@ -41,7 +45,7 @@ namespace qirkit::sim {
 /// F32 halves memory traffic for throughput-bound sampling workloads at
 /// ~1e-7 relative error per gate (accumulating with circuit depth — the
 /// executor therefore rejects it for feedback-dependent programs unless
-/// forced). Measurement probabilities, norms, and sampling CDFs are always
+/// forced). Measurement probabilities, norms, and sampling block sums are always
 /// accumulated in double regardless of the storage width.
 enum class Precision : std::uint8_t { F64, F32 };
 
@@ -105,6 +109,12 @@ public:
   /// Reset to |0...0> keeping the current width.
   void resetAll();
 
+  /// Return to the freshly-constructed 0-qubit state (gate count included)
+  /// while keeping the amplitude buffer's capacity, so a register regrown
+  /// qubit by qubit to its previous width allocates nothing. The pool,
+  /// precision and cancel token stay installed.
+  void clear();
+
   /// Append a fresh qubit in |0>; returns its index.
   unsigned addQubit();
 
@@ -149,19 +159,21 @@ public:
   void resetQubit(unsigned q, SplitMix64& rng);
   /// Sample a full basis state without collapsing (for repeated shots).
   [[nodiscard]] std::uint64_t sample(SplitMix64& rng) const;
-  /// Counts of \p shots independent samples, keyed by basis state. Routed
-  /// through the sampleShots CDF path: one O(2^n) prefix sum for the whole
-  /// batch instead of an O(2^n) linear scan per shot, and the two samplers
-  /// cannot diverge (identical draws from \p rng, identical search).
+  /// Counts of \p shots independent samples, keyed by basis state. The
+  /// same sampler as sampleShots (identical draws from \p rng, identical
+  /// search), so the two cannot diverge.
   [[nodiscard]] std::map<std::uint64_t, std::uint64_t> sampleCounts(std::uint64_t shots,
                                                                     SplitMix64& rng) const;
   /// Batched sampling kernel for the shot executor's terminal-measurement
-  /// fast path: builds the cumulative probability distribution once
-  /// (O(2^n)), then draws \p shots basis states by binary search
-  /// (O(shots log 2^n) = O(shots · n)), parallelized over the thread pool
-  /// when the batch is large. All uniforms are pre-drawn sequentially from
-  /// \p rng, so the result is independent of pool size and identical to a
-  /// sequential run. The CDF is accumulated in double for both precisions.
+  /// fast path, in two streaming passes over the state and no 2^n array.
+  /// Pass 1 sums the probabilities of each 4096-amplitude block (blocks in
+  /// parallel when a pool is present). The \p shots uniforms are then drawn
+  /// sequentially from \p rng, scaled by the total, and sorted. Pass 2 walks
+  /// the blocks in order and rescans only those a draw lands in, recomputing
+  /// the block's running sum exactly as pass 1 summed it, so each draw gets
+  /// the first amplitude whose running sum exceeds it. The result depends
+  /// only on the state, \p shots and \p rng — never on the pool. All sums
+  /// accumulate in double for both precisions.
   [[nodiscard]] std::map<std::uint64_t, std::uint64_t> sampleShots(std::uint64_t shots,
                                                                    SplitMix64& rng) const;
 
@@ -202,16 +214,23 @@ public:
   }
 
 private:
-  void forRange(std::uint64_t n,
-                const std::function<void(std::uint64_t, std::uint64_t)>& body) const;
-  /// Deterministic parallel sum reduction: [0, n) is split into fixed
-  /// 4096-element blocks whose partial sums (computed by \p partial,
-  /// possibly in parallel) are combined sequentially in block order. The
+  /// Run \p body(begin, end) over [0, n): directly on the calling thread,
+  /// or split across the pool once n is large enough to pay for the
+  /// fork/join. The callable is a template parameter, so the sequential
+  /// path inlines it; only the pool leg wraps it in a std::function.
+  template <typename Body>
+  void forRange(std::uint64_t n, const Body& body) const;
+  /// The pool leg of forRange and applyFusedSweep: \p body over [0, n) in
+  /// grain-aligned chunks, each skipped once the cancel token expires.
+  void forRangeOnPool(std::uint64_t n, std::uint64_t grain,
+                      const std::function<void(std::uint64_t, std::uint64_t)>& body) const;
+  /// Deterministic sum reduction: [0, n) is split into fixed 4096-element
+  /// blocks whose partial sums (computed by \p partial, in parallel when
+  /// a pool is present) are combined sequentially in block order. The
   /// summation tree depends only on n — never on the pool — so the result
   /// is bit-identical across pool sizes and sequential runs.
-  double blockSum(std::uint64_t n,
-                  const std::function<double(std::uint64_t, std::uint64_t)>& partial) const;
-  void allocate(std::uint64_t dim);
+  template <typename Partial>
+  double blockSum(std::uint64_t n, const Partial& partial) const;
 
   unsigned numQubits_;
   Precision precision_;

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numbers>
+#include <vector>
 
 namespace qirkit::sim {
 namespace {
@@ -210,8 +212,9 @@ TEST(StateVectorTest, SampleShotsIsDeterministicAndPoolIndependent) {
   const auto a = seq.sampleShots(5000, rngA);
   const auto b = par.sampleShots(5000, rngB);
   // Same seed => identical histogram, regardless of the worker pool: the
-  // uniform draws are pre-drawn sequentially and the binary searches are
-  // pure. This is what keeps batched sampling engine- and jobs-stable.
+  // uniform draws are taken sequentially and every block sum is computed
+  // the same way on any worker. This is what keeps batched sampling
+  // engine- and jobs-stable.
   EXPECT_EQ(a, b);
 }
 
@@ -630,6 +633,392 @@ TEST(KernelDifferential, F32SamplingMatchesF64Distribution) {
     }
   }
   EXPECT_LT(static_cast<double>(diff) / (2.0 * kShots), 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// Low-qubit kernel paths: every kernel whose lowest target is qubit 0, 1 or
+// 2 walks whole groups of 2^lo amplitudes instead of 1-4 amplitude runs.
+// These differentials cover every ordered qubit pair, so every pairing of a
+// low bit (below 3) with a high one, against the naive reference.
+// ---------------------------------------------------------------------------
+
+/// Three distinct qubits {a, b, c}: c is the first qubit not in {a, b},
+/// searching upward from the larger of the two, so the set mixes bits
+/// below and above 3 whenever a or b is low and the register is wide.
+std::vector<unsigned> thirdQubit(unsigned a, unsigned b, unsigned n) {
+  unsigned c = (std::max(a, b) + 1) % n;
+  while (c == a || c == b) {
+    c = (c + 1) % n;
+  }
+  return {a, b, c};
+}
+
+/// Every ordered pair (a, b) on 3..13 qubits: apply1 on a, apply2 on
+/// (a, b), applyControlled1 with control a and target b, and diagonals
+/// on {a, b} and on {a, b, c}, each compared with the reference after
+/// the pair.
+void runPairDifferential(Precision precision, double tol) {
+  SplitMix64 rng(31337);
+  for (unsigned n = 3; n <= 13; ++n) {
+    StateVector sv(n, nullptr, precision);
+    NaiveState ref(n);
+    for (unsigned q = 0; q < n; ++q) {
+      const GateMatrix2 g = randomUnitary2(rng);
+      sv.apply1(g, q);
+      ref.apply1(g, q);
+    }
+    int step = 0;
+    for (unsigned a = 0; a < n; ++a) {
+      for (unsigned b = 0; b < n; ++b) {
+        if (a == b) {
+          continue;
+        }
+        const GateMatrix2 g1 = randomUnitary2(rng);
+        sv.apply1(g1, a);
+        ref.apply1(g1, a);
+        const GateMatrix4 g2 = randomUnitary4(rng);
+        sv.apply2(g2, a, b);
+        ref.apply2(g2, a, b);
+        const GateMatrix2 gc = randomUnitary2(rng);
+        sv.applyControlled1(gc, a, b);
+        ref.applyControlled1(gc, a, b);
+        const unsigned pair[] = {a, b};
+        const std::vector<Complex> d2 = randomPhases(rng, 2);
+        sv.applyDiagonal(d2, pair);
+        ref.applyDiagonal(d2, pair);
+        const std::vector<unsigned> triple = thirdQubit(a, b, n);
+        const std::vector<Complex> d3 = randomPhases(rng, 3);
+        sv.applyDiagonal(d3, triple);
+        ref.applyDiagonal(d3, triple);
+        expectAmplitudesNear(sv, ref, tol, n, step++);
+      }
+    }
+  }
+}
+
+TEST(KernelDifferential, EveryQubitPairMatchesNaiveReferenceF64) {
+  runPairDifferential(Precision::F64, 1e-12);
+}
+
+TEST(KernelDifferential, EveryQubitPairMatchesNaiveReferenceF32) {
+  runPairDifferential(Precision::F32, 1e-5);
+}
+
+TEST(KernelDifferential, LowQubitKernelsOnTwoQubits) {
+  // Two qubits: every kernel range is shorter than one whole group, so
+  // only the one-at-a-time ends of the low-qubit walkers run.
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    const double tol = precision == Precision::F64 ? 1e-12 : 1e-5;
+    SplitMix64 rng(5);
+    StateVector sv(2, nullptr, precision);
+    NaiveState ref(2);
+    int step = 0;
+    for (int round = 0; round < 4; ++round) {
+      for (unsigned a = 0; a < 2; ++a) {
+        const unsigned b = 1 - a;
+        const GateMatrix2 g1 = randomUnitary2(rng);
+        sv.apply1(g1, a);
+        ref.apply1(g1, a);
+        const GateMatrix4 g2 = randomUnitary4(rng);
+        sv.apply2(g2, a, b);
+        ref.apply2(g2, a, b);
+        const GateMatrix2 gc = randomUnitary2(rng);
+        sv.applyControlled1(gc, a, b);
+        ref.applyControlled1(gc, a, b);
+        const unsigned one[] = {a};
+        const std::vector<Complex> d1 = randomPhases(rng, 1);
+        sv.applyDiagonal(d1, one);
+        ref.applyDiagonal(d1, one);
+        const unsigned both[] = {a, b};
+        const std::vector<Complex> d2 = randomPhases(rng, 2);
+        sv.applyDiagonal(d2, both);
+        ref.applyDiagonal(d2, both);
+        expectAmplitudesNear(sv, ref, tol, 2, step++);
+      }
+    }
+  }
+}
+
+/// Low-qubit kernels with a 2-thread pool, on 16 qubits so every kernel
+/// splits its range across the workers, against the reference.
+void runPooledLowQubitDifferential(Precision precision, double tol) {
+  ThreadPool pool(2);
+  const unsigned n = 16;
+  SplitMix64 rng(909);
+  StateVector sv(n, &pool, precision);
+  NaiveState ref(n);
+  for (unsigned q = 0; q < n; ++q) {
+    const GateMatrix2 g = randomUnitary2(rng);
+    sv.apply1(g, q);
+    ref.apply1(g, q);
+  }
+  const unsigned pairs[][2] = {{0, 1}, {1, 0}, {0, 3}, {2, 1}, {1, 7},
+                               {9, 2}, {2, 15}, {15, 0}, {8, 12}, {13, 3}};
+  int step = 0;
+  for (const auto& pq : pairs) {
+    const unsigned a = pq[0];
+    const unsigned b = pq[1];
+    const GateMatrix2 g1 = randomUnitary2(rng);
+    sv.apply1(g1, a);
+    ref.apply1(g1, a);
+    const GateMatrix4 g2 = randomUnitary4(rng);
+    sv.apply2(g2, a, b);
+    ref.apply2(g2, a, b);
+    const GateMatrix2 gc = randomUnitary2(rng);
+    sv.applyControlled1(gc, b, a);
+    ref.applyControlled1(gc, b, a);
+    const std::vector<unsigned> triple = thirdQubit(a, b, n);
+    const std::vector<Complex> d3 = randomPhases(rng, 3);
+    sv.applyDiagonal(d3, triple);
+    ref.applyDiagonal(d3, triple);
+    expectAmplitudesNear(sv, ref, tol, n, step++);
+  }
+}
+
+TEST(KernelDifferential, LowQubitKernelsWithPoolMatchReferenceF64) {
+  runPooledLowQubitDifferential(Precision::F64, 1e-12);
+}
+
+TEST(KernelDifferential, LowQubitKernelsWithPoolMatchReferenceF32) {
+  runPooledLowQubitDifferential(Precision::F32, 1e-5);
+}
+
+/// applyFusedSweep on a 14-qubit (four-chunk) state with gates whose
+/// lowest target is 0, 1 or 2 — run sequentially and on a 2-thread pool —
+/// against the reference.
+void runLowQubitSweepDifferential(Precision precision, double tol,
+                                  ThreadPool* pool) {
+  const unsigned n = 14;
+  SplitMix64 rng(2718);
+  StateVector sv(n, pool, precision);
+  NaiveState ref(n);
+  for (unsigned q = 0; q < n; ++q) {
+    const GateMatrix2 g = randomUnitary2(rng);
+    sv.apply1(g, q);
+    ref.apply1(g, q);
+  }
+  const std::vector<std::vector<unsigned>> diagQubits = {
+      {0, 4}, {1, 2, 7}, {2, 10, 0}, {11, 1}};
+  std::vector<std::vector<Complex>> diagTables;
+  diagTables.reserve(diagQubits.size());
+  std::vector<SweepGate> gates;
+  for (unsigned q = 0; q < 3; ++q) {
+    SweepGate g;
+    g.kind = SweepGate::Kind::Unitary1;
+    g.q0 = q;
+    g.m2 = randomUnitary2(rng);
+    gates.push_back(g);
+  }
+  const unsigned pairs[][2] = {{0, 1}, {5, 1}, {2, 9}, {11, 0}, {2, 3}};
+  for (const auto& pq : pairs) {
+    SweepGate g;
+    g.kind = SweepGate::Kind::Unitary2;
+    g.q0 = pq[0];
+    g.q1 = pq[1];
+    g.m4 = randomUnitary4(rng);
+    gates.push_back(g);
+  }
+  for (const std::vector<unsigned>& qubits : diagQubits) {
+    diagTables.push_back(randomPhases(rng, qubits.size()));
+    SweepGate g;
+    g.kind = SweepGate::Kind::Diagonal;
+    g.diag = diagTables.back();
+    g.diagQubits = qubits;
+    gates.push_back(g);
+  }
+  sv.applyFusedSweep(gates);
+  for (const SweepGate& g : gates) {
+    switch (g.kind) {
+    case SweepGate::Kind::Unitary1:
+      ref.apply1(g.m2, g.q0);
+      break;
+    case SweepGate::Kind::Unitary2:
+      ref.apply2(g.m4, g.q0, g.q1);
+      break;
+    case SweepGate::Kind::Diagonal:
+      ref.applyDiagonal(g.diag, g.diagQubits);
+      break;
+    }
+  }
+  expectAmplitudesNear(sv, ref, tol, n, 0);
+}
+
+TEST(KernelDifferential, LowQubitFusedSweepMatchesReferenceF64) {
+  runLowQubitSweepDifferential(Precision::F64, 1e-12, nullptr);
+  ThreadPool pool(2);
+  runLowQubitSweepDifferential(Precision::F64, 1e-12, &pool);
+}
+
+TEST(KernelDifferential, LowQubitFusedSweepMatchesReferenceF32) {
+  runLowQubitSweepDifferential(Precision::F32, 1e-5, nullptr);
+  ThreadPool pool(2);
+  runLowQubitSweepDifferential(Precision::F32, 1e-5, &pool);
+}
+
+// ---------------------------------------------------------------------------
+// Sampler: sampleShots against a reference written here — one cumulative
+// distribution over the whole state, one std::upper_bound per shot, the
+// same uniforms scaled by the same total. The counts must be equal, not
+// merely close.
+// ---------------------------------------------------------------------------
+
+std::map<std::uint64_t, std::uint64_t> referenceSample(const StateVector& sv,
+                                                       std::uint64_t shots,
+                                                       SplitMix64& rng) {
+  std::vector<double> cdf(sv.dimension());
+  double total = 0;
+  for (std::uint64_t i = 0; i < sv.dimension(); ++i) {
+    total += std::norm(sv.amplitude(i));
+    cdf[i] = total;
+  }
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (std::uint64_t s = 0; s < shots; ++s) {
+    const double draw = rng.uniform() * total;
+    const auto it = std::upper_bound(cdf.begin(), cdf.end(), draw);
+    ++counts[it == cdf.end() ? sv.dimension() - 1
+                             : static_cast<std::uint64_t>(it - cdf.begin())];
+  }
+  return counts;
+}
+
+void expectSamplerMatchesReference(const StateVector& sv, std::uint64_t shots,
+                                   std::uint64_t seed) {
+  SplitMix64 rngA(seed);
+  SplitMix64 rngB(seed);
+  const auto got = sv.sampleShots(shots, rngA);
+  EXPECT_EQ(got, referenceSample(sv, shots, rngB))
+      << "qubits=" << sv.numQubits() << " shots=" << shots;
+  // Both consumed exactly one uniform per shot.
+  EXPECT_EQ(rngA(), rngB());
+}
+
+void randomize(StateVector& sv, SplitMix64& rng) {
+  for (unsigned q = 0; q < sv.numQubits(); ++q) {
+    sv.apply1(randomUnitary2(rng), q);
+  }
+  for (unsigned q = 0; q + 1 < sv.numQubits(); ++q) {
+    sv.applyControlled1(gateX(), q, q + 1);
+  }
+}
+
+TEST(SamplerTest, RandomStatesMatchReference) {
+  SplitMix64 rng(404);
+  for (const unsigned n : {1U, 2U, 3U, 5U, 11U, 12U, 13U, 14U, 15U}) {
+    StateVector sv(n);
+    randomize(sv, rng);
+    expectSamplerMatchesReference(sv, 5000, 17 + n);
+  }
+}
+
+TEST(SamplerTest, F32StorageMatchesReference) {
+  SplitMix64 rng(405);
+  for (const unsigned n : {4U, 13U}) {
+    StateVector sv(n, nullptr, Precision::F32);
+    randomize(sv, rng);
+    expectSamplerMatchesReference(sv, 5000, 3);
+  }
+}
+
+TEST(SamplerTest, MassInsideOneBlock) {
+  // All probability inside block 1 (amplitudes 4096-8191) of a 14-qubit
+  // state: three states with unequal weights.
+  StateVector sv(14);
+  sv.apply1(gateX(), 12);             // |4096>
+  sv.apply1(gateRY(1.1), 3);          // 4096 and 4104
+  sv.applyControlled1(gateH(), 3, 5); // 4104 splits into 4104 and 4136
+  expectSamplerMatchesReference(sv, 4000, 8);
+  SplitMix64 rng(8);
+  for (const auto& [basis, count] : sv.sampleShots(4000, rng)) {
+    EXPECT_TRUE(basis == 4096 || basis == 4104 || basis == 4136) << basis;
+  }
+}
+
+TEST(SamplerTest, MassOnBlockBoundary) {
+  // Equal weight on amplitudes 4095 and 4096: the last of block 0 and the
+  // first of block 1.
+  StateVector sv(13);
+  sv.apply1(gateH(), 12); // |0> + |4096>
+  for (unsigned q = 0; q < 12; ++q) {
+    sv.applyControlled1(gateX(), 12, q); // |0> + |8191>
+  }
+  for (unsigned q = 0; q < 12; ++q) {
+    sv.apply1(gateX(), q); // |4095> + |4096>
+  }
+  EXPECT_NEAR(std::norm(sv.amplitude(4095)), 0.5, kEps);
+  EXPECT_NEAR(std::norm(sv.amplitude(4096)), 0.5, kEps);
+  expectSamplerMatchesReference(sv, 4000, 21);
+  SplitMix64 rng(21);
+  const auto counts = sv.sampleShots(4000, rng);
+  ASSERT_EQ(counts.size(), 2U);
+  EXPECT_NEAR(static_cast<double>(counts.at(4095)) / 4000, 0.5, 0.05);
+}
+
+TEST(SamplerTest, ZeroProbabilityTailIsNeverSampled) {
+  // Qubit 13 stays |0>: the upper half of the state (two whole blocks and
+  // the last amplitude) has zero probability.
+  StateVector sv(14);
+  SplitMix64 rng(406);
+  for (unsigned q = 0; q < 13; ++q) {
+    sv.apply1(randomUnitary2(rng), q);
+  }
+  expectSamplerMatchesReference(sv, 6000, 5);
+  SplitMix64 draws(5);
+  for (const auto& [basis, count] : sv.sampleShots(6000, draws)) {
+    EXPECT_LT(basis, std::uint64_t{1} << 13);
+  }
+}
+
+TEST(SamplerTest, ZeroAndOneShot) {
+  StateVector sv(13);
+  SplitMix64 rng(407);
+  randomize(sv, rng);
+  SplitMix64 none(1);
+  EXPECT_TRUE(sv.sampleShots(0, none).empty());
+  EXPECT_EQ(none(), SplitMix64(1)()); // no uniform consumed
+  expectSamplerMatchesReference(sv, 1, 9);
+  SplitMix64 one(9);
+  const auto counts = sv.sampleShots(1, one);
+  ASSERT_EQ(counts.size(), 1U);
+  EXPECT_EQ(counts.begin()->second, 1U);
+}
+
+TEST(SamplerTest, GhzAtEighteenQubits) {
+  const unsigned n = 18;
+  StateVector sv(n);
+  sv.apply1(gateH(), 0);
+  for (unsigned q = 1; q < n; ++q) {
+    sv.applyControlled1(gateX(), 0, q);
+  }
+  expectSamplerMatchesReference(sv, 4096, 12);
+  SplitMix64 rng(12);
+  const auto counts = sv.sampleShots(4096, rng);
+  ASSERT_EQ(counts.size(), 2U);
+  const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+  EXPECT_EQ(counts.at(0) + counts.at(all), 4096U);
+  EXPECT_NEAR(static_cast<double>(counts.at(0)) / 4096, 0.5, 0.05);
+}
+
+TEST(StateVectorTest, ClearReturnsToZeroQubitsAndRegrows) {
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    StateVector sv(5, nullptr, precision);
+    for (unsigned q = 0; q < 5; ++q) {
+      sv.apply1(gateH(), q);
+    }
+    sv.clear();
+    EXPECT_EQ(sv.numQubits(), 0U);
+    EXPECT_EQ(sv.dimension(), 1U);
+    EXPECT_EQ(sv.gateCount(), 0U);
+    EXPECT_EQ(sv.precision(), precision);
+    EXPECT_NEAR(std::norm(sv.amplitude(0)), 1.0, kEps);
+    for (unsigned q = 0; q < 5; ++q) {
+      EXPECT_EQ(sv.addQubit(), q);
+    }
+    // Regrown over the old buffer: exactly |00000>, nothing left over.
+    EXPECT_NEAR(std::norm(sv.amplitude(0)), 1.0, kEps);
+    for (std::uint64_t i = 1; i < sv.dimension(); ++i) {
+      EXPECT_EQ(sv.amplitude(i), Complex{}) << i;
+    }
+  }
 }
 
 } // namespace

@@ -32,7 +32,8 @@
 ///   qirkit feasibility <file.ll> [--budget NS]
 ///                  [--model fpga|cpu]           coherence-budget check (§IV.B)
 ///
-/// Targets: line:N, ring:N, grid:RxC, full:N.
+/// Targets: line:N, ring:N, grid:RxC, full:N. Every command that reads a
+/// program accepts QIR or OpenQASM 2/3 (qasm::loadModule decides which).
 ///
 /// Observability: `--stats[=text|json]` (run|compile|opt) arms the
 /// process-wide telemetry registry and prints the report on stderr after
@@ -41,8 +42,8 @@
 /// (Perfetto / chrome://tracing) spanning parse → opt → compile → execute.
 ///
 /// Exit-code contract: 0 success; 1 diagnostics (parse/verify/semantic
-/// errors, runtime traps, nonconforming input); 2 usage errors; 3 internal
-/// faults. Classified errors print to stderr as
+/// errors, runtime traps, nonconforming input); 2 usage errors (among them
+/// any option the command does not accept); 3 internal faults. Classified errors print to stderr as
 /// `qirkit: error[<code>]: <message> at <loc>`.
 /// QIRKIT_FAULT_INJECT arms the deterministic fault injector (see
 /// support/faultinject.hpp) for drilling the recovery paths.
@@ -50,7 +51,6 @@
 #include "circuit/mapping.hpp"
 #include "circuit/reuse.hpp"
 #include "hybrid/hybrid.hpp"
-#include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "qasm/frontend.hpp"
@@ -81,9 +81,11 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -151,8 +153,25 @@ struct Args {
   }
 };
 
-Args parseArgs(int argc, char** argv, int start,
-               const std::vector<std::string>& valueOptions) {
+/// One subcommand: its handler and the options it accepts. `output` in
+/// valueOptions admits -o; --stats is accepted by every command.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string> valueOptions;
+  std::vector<std::string> flags;
+};
+
+bool contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Parse argv[start..] for \p command: an option it does not accept, or
+/// a second positional argument, is a usage error.
+Args parseArgs(int argc, char** argv, int start, const Command& command) {
+  const auto reject = [&](const std::string& option) {
+    fail("unknown option " + option + " for '" + std::string(command.name) + "'");
+  };
   Args args;
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -163,11 +182,12 @@ Args parseArgs(int argc, char** argv, int start,
         inlineValue = key.substr(eq + 1);
         key = key.substr(0, eq);
       }
-      const bool takesValue =
-          std::find(valueOptions.begin(), valueOptions.end(), key) !=
-          valueOptions.end();
+      const bool takesValue = contains(command.valueOptions, key);
       // --stats takes an *optional* format: bare --stats means text.
       const bool optionalValue = key == "stats";
+      if (!takesValue && !optionalValue && !contains(command.flags, key)) {
+        reject("--" + key);
+      }
       if (inlineValue) {
         if (!takesValue && !optionalValue) {
           fail("option --" + key + " does not take a value");
@@ -189,15 +209,30 @@ Args parseArgs(int argc, char** argv, int start,
         args.flags[key] = true;
       }
     } else if (arg == "-o") {
+      if (!contains(command.valueOptions, "output")) {
+        reject(arg);
+      }
       if (i + 1 >= argc) {
         fail("-o expects a path");
       }
       args.options["output"] = argv[++i];
-    } else {
+    } else if (args.positional.empty()) {
       args.positional.push_back(arg);
+    } else {
+      fail("unexpected argument '" + arg + "' for '" + std::string(command.name) +
+           "'");
     }
   }
   return args;
+}
+
+/// The command's input file, loaded in its detected language (QIR or
+/// OpenQASM 2/3) through the frontend every command shares.
+std::unique_ptr<ir::Module>
+loadInput(ir::Context& ctx, const Args& args,
+          qir::Addressing addressing = qir::Addressing::Static) {
+  return qasm::loadModule(ctx, readFile(args.positional[0]), args.positional[0],
+                          addressing);
 }
 
 circuit::Target parseTarget(const std::string& spec) {
@@ -231,7 +266,7 @@ circuit::Target parseTarget(const std::string& spec) {
 
 int cmdParse(const Args& args) {
   ir::Context ctx;
-  const auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  const auto module = loadInput(ctx, args);
   const auto errors = ir::verifyModule(*module);
   std::cout << "functions: " << module->functions().size() << "\n";
   std::cout << "globals: " << module->globals().size() << "\n";
@@ -254,7 +289,7 @@ int cmdParse(const Args& args) {
 
 int cmdValidate(const Args& args) {
   ir::Context ctx;
-  const auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  const auto module = loadInput(ctx, args);
   const std::string profileName = args.option("profile", "base");
   const qir::Profile profile = profileName == "base"       ? qir::Profile::Base
                                : profileName == "adaptive" ? qir::Profile::Adaptive
@@ -276,7 +311,7 @@ int cmdValidate(const Args& args) {
 
 int cmdOpt(const Args& args) {
   ir::Context ctx;
-  auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  auto module = loadInput(ctx, args);
   const std::size_t before = module->instructionCount();
   const std::size_t sweeps = qir::transformDirect(*module);
   ir::verifyModuleOrThrow(*module);
@@ -291,8 +326,7 @@ int cmdOpt(const Args& args) {
 
 int cmdCompile(const Args& args) {
   ir::Context ctx;
-  auto module = qasm::loadModule(ctx, readFile(args.positional[0]),
-                                 args.positional[0], qir::Addressing::Dynamic);
+  auto module = loadInput(ctx, args, qir::Addressing::Dynamic);
   qir::CompileOptions options;
   if (!args.option("target").empty()) {
     options.target = parseTarget(args.option("target"));
@@ -324,8 +358,7 @@ int cmdCompile(const Args& args) {
 
 int cmdRun(const Args& args) {
   ir::Context ctx;
-  const auto module = qasm::loadModule(ctx, readFile(args.positional[0]),
-                                       args.positional[0], qir::Addressing::Static);
+  const auto module = loadInput(ctx, args);
   vm::ShotOptions options;
   options.shots = parseUint(args.option("shots", "100"), "shots");
   options.seed = parseUint(args.option("seed", "1"), "seed");
@@ -485,7 +518,7 @@ int cmdTranslate(const Args& args) {
 
 int cmdPartition(const Args& args) {
   ir::Context ctx;
-  const auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  const auto module = loadInput(ctx, args);
   const hybrid::PartitionReport report = hybrid::partitionHybrid(*module);
   for (const auto& [placement, count] : report.counts) {
     std::cout << hybrid::placementName(placement) << ": " << count
@@ -496,7 +529,7 @@ int cmdPartition(const Args& args) {
 
 int cmdFeasibility(const Args& args) {
   ir::Context ctx;
-  const auto module = ir::parseModule(ctx, readFile(args.positional[0]));
+  const auto module = loadInput(ctx, args);
   double budget = 0.0;
   try {
     budget = std::stod(args.option("budget", "1000"));
@@ -837,6 +870,7 @@ void usage() {
          "  --stats[=text|json]   print telemetry (parse/pass/vm/cache/shot\n"
          "                        metrics) on stderr after the command\n"
          "  -o <path>             write primary output to a file\n"
+         "                        (opt, compile, translate)\n"
          "run options: --shots N --seed S --engine vm|interp --jobs N\n"
          "             --exec-mode auto|resim|sample --fusion on|off\n"
          "             --dispatch switch|threaded (VM dispatch loop;\n"
@@ -905,19 +939,40 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    const std::string command = argv[1];
-    const Args args = parseArgs(
-        argc, argv, 2,
-        {"profile", "target", "addressing", "shots", "seed", "engine", "jobs",
-         "exec-mode", "fusion", "dispatch", "precision", "max-failed-shots",
-         "retries",
-         "to", "budget",
-         "model", "output", "socket", "tenant", "priority", "runners",
-         "program-capacity", "queue-capacity",
-         "tenant-pending", "max-shots", "max-frame-bytes", "timeout-ms",
-         "deadline-ms", "request-id", "connect-retries", "rate-limit",
-         "rate-burst", "memory-budget-mb", "watchdog-factor", "format",
-         "limit", "flight-capacity", "slow-threshold-ms"});
+    static const std::vector<Command> commands = {
+        {"parse", cmdParse, {}, {}},
+        {"validate", cmdValidate, {"profile"}, {}},
+        {"opt", cmdOpt, {"output"}, {}},
+        {"compile", cmdCompile, {"target", "addressing", "output"},
+         {"reuse", "defer-mz"}},
+        {"run", cmdRun,
+         {"shots", "seed", "engine", "jobs", "exec-mode", "fusion", "dispatch",
+          "precision", "max-failed-shots", "retries", "timeout-ms"},
+         {"force-f32", "no-fallback"}},
+        {"translate", cmdTranslate, {"to", "addressing", "output"}, {}},
+        {"partition", cmdPartition, {}, {}},
+        {"feasibility", cmdFeasibility, {"budget", "model"}, {}},
+        {"serve", cmdServe,
+         {"runners", "jobs", "program-capacity", "queue-capacity",
+          "tenant-pending", "max-shots", "max-frame-bytes", "rate-limit",
+          "rate-burst", "memory-budget-mb", "watchdog-factor",
+          "flight-capacity", "slow-threshold-ms"},
+         {"no-telemetry"}},
+        {"submit", cmdSubmit,
+         {"socket", "connect-retries", "tenant", "request-id", "format",
+          "limit", "shots", "seed", "engine", "exec-mode", "fusion",
+          "dispatch", "precision", "priority", "deadline-ms"},
+         {"force-f32", "json", "verbose-timing"}},
+    };
+    const std::string_view name = argv[1];
+    const auto command =
+        std::find_if(commands.begin(), commands.end(),
+                     [name](const Command& c) { return c.name == name; });
+    if (command == commands.end()) {
+      usage();
+      return 2;
+    }
+    const Args args = parseArgs(argc, argv, 2, *command);
     if (args.positional.empty()) {
       usage();
       return 2;
@@ -930,25 +985,11 @@ int main(int argc, char** argv) {
       }
       qirkit::telemetry::setEnabled(true);
     }
-    int rc = -1;
-    if (command == "parse") rc = cmdParse(args);
-    else if (command == "validate") rc = cmdValidate(args);
-    else if (command == "opt") rc = cmdOpt(args);
-    else if (command == "compile") rc = cmdCompile(args);
-    else if (command == "run") rc = cmdRun(args);
-    else if (command == "translate") rc = cmdTranslate(args);
-    else if (command == "partition") rc = cmdPartition(args);
-    else if (command == "feasibility") rc = cmdFeasibility(args);
-    else if (command == "serve") rc = cmdServe(args);
-    else if (command == "submit") rc = cmdSubmit(args);
-    else {
-      usage();
-      return 2;
-    }
+    const int rc = command->run(args);
     if (statsRequested) {
       // stderr keeps stdout byte-identical with and without --stats.
       if (statsFormat == "json") {
-        std::cerr << qirkit::telemetry::statsJson(command) << "\n";
+        std::cerr << qirkit::telemetry::statsJson(name) << "\n";
       } else {
         std::cerr << qirkit::telemetry::statsText();
       }

@@ -176,6 +176,18 @@ COUNT=$(grep -c "__quantum__qis__h__body(ptr" "$WORK/loop.opt.ll" || true)
 "$QIRKIT" partition "$WORK/bell.ll" | grep -q "quantum: " || fail "partition"
 "$QIRKIT" feasibility "$WORK/bell.ll" --budget 100 | grep -q "feasible: yes" || fail "feasibility"
 
+# every file-reading command loads OpenQASM through the same frontend as
+# run: parse, validate, opt, partition and feasibility accept bell.qasm
+"$QIRKIT" parse "$WORK/bell.qasm" | grep -q "verifier: clean" || fail "parse .qasm"
+"$QIRKIT" validate "$WORK/bell.qasm" --profile base | grep -q "conforms" \
+  || fail "validate .qasm"
+"$QIRKIT" opt "$WORK/bell.qasm" -o "$WORK/bell.opt.ll" || fail "opt .qasm"
+grep -q "__quantum__qis__cnot__body" "$WORK/bell.opt.ll" || fail "opt .qasm output"
+"$QIRKIT" partition "$WORK/bell.qasm" | grep -q "quantum: " || fail "partition .qasm"
+"$QIRKIT" feasibility "$WORK/bell.qasm" --budget 100 | grep -q "feasible: yes" \
+  || fail "feasibility .qasm"
+"$QIRKIT" parse "$WORK/rus.qasm3" | grep -q "verifier: clean" || fail "parse .qasm3"
+
 # usage text stays in sync with the documented flags: every flag/env var
 # the README documents must appear when qirkit is invoked without args.
 "$QIRKIT" 2>"$WORK/usage" || true
@@ -228,5 +240,27 @@ rc=0; "$QIRKIT" run "$WORK/bell.ll" --shots notanumber >/dev/null 2>"$WORK/err" 
 grep -q "qirkit: error\[usage\]: " "$WORK/err" || fail "usage diagnostic format"
 rc=0; "$QIRKIT" bogus-command x y >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "unknown command must exit 2 (got $rc)"
+
+# each command accepts only its own options: a misspelled, removed or
+# foreign option, -o where nothing is written, and a second input are
+# usage errors naming the offender
+expect_usage() {
+  want="$1"; shift
+  rc=0; "$QIRKIT" "$@" >/dev/null 2>"$WORK/err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "$* must exit 2 (got $rc)"
+  grep -q "qirkit: error\[usage\]: .*$want" "$WORK/err" \
+    || fail "$* diagnostic: $(cat "$WORK/err")"
+}
+expect_usage "--shotz" run "$WORK/bell.qasm" --shotz 9
+expect_usage "--fusio" run "$WORK/bell.qasm" --fusio off
+expect_usage "--cache-capacity" serve "$WORK/never.sock" --cache-capacity 4
+expect_usage "--profile" run "$WORK/bell.ll" --profile base
+expect_usage "--shots" validate "$WORK/bell.ll" --shots 3
+expect_usage "--target" translate "$WORK/bell.qasm" --to qir --target line:2
+expect_usage "--reuse" run "$WORK/bell.ll" --reuse
+expect_usage "--bogus" submit ping --socket "$WORK/never.sock" --shots=3 --bogus
+expect_usage " -o " parse "$WORK/bell.ll" -o "$WORK/x"
+expect_usage "'extra'" run "$WORK/bell.ll" extra
+[ -e "$WORK/never.sock" ] && fail "serve started despite an unknown option"
 
 echo "CLI TEST PASSED"
